@@ -35,6 +35,7 @@ from .errors import DimensionMismatch, ParseError, PreconditionError, PtfkitErro
 from .highorder import (
     HighOrderVectorResult,
     OrderReduction,
+    high_order_search,
     high_order_vectors,
     is_high_order_vector,
     order_reduce,
@@ -58,6 +59,7 @@ from .ptf import (
     SameWeightFamily,
     eval_G,
     is_threshold,
+    minimal_realization,
     order,
     realize_at_degree,
     same_weight_family,
@@ -103,11 +105,13 @@ __all__ = [
     "flip_at",
     "format_table",
     "from_bits",
+    "high_order_search",
     "high_order_vectors",
     "index_of",
     "is_high_order_vector",
     "is_m_asummable",
     "is_threshold",
+    "minimal_realization",
     "minterms",
     "order",
     "order_reduce",

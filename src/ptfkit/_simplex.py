@@ -1,42 +1,62 @@
-"""Integer-tableau simplex kernels behind the exact LP engine.
+"""Condensed fraction-free simplex behind the exact LP engine.
 
+``solve_free_le`` decides ``A x <= b`` over ``n`` free variables by phase 1
+of the two-phase simplex on ``A (x+ - x-) + s = b`` with ``x+, x-, s >= 0``.
+Each row with a negative right-hand side is negated and gets an artificial
+variable; phase 1 minimizes the sum of the artificials.  The variables are
+numbered as the columns of the full tableau ``[A | -A | slack | artificial]``:
+
+    x+_j = j,   x-_j = n + j,   s_i = 2n + i,   a_i = 2n + m + t,
+
+where ``t`` counts the negated rows above row ``i``.  Bland's rule enters the
+lowest-numbered variable with a negative reduced cost, and the ratio test
+breaks ties by the lowest-numbered leaving variable.
+
+Condensed layout
+----------------
+Row operations keep two column identities of the full tableau:
+
+* the column of ``x-_j`` is minus the column of ``x+_j``;
+* the column of ``a_i`` is minus the column of ``s_i``, and, since phase 1
+  prices ``a_i`` at 1 and ``s_i`` at 0, the reduced cost of ``a_i`` is
+  ``delta - D`` where ``D`` is that of ``s_i``.
+
+So the variables fall into ``n + m`` groups of collinear columns.  At most
+one member of a group is basic, and a basic member's column is a unit
+vector, so exactly ``n`` groups are nonbasic.  The tableau stores one
+column per nonbasic group (the column of its representative member) plus
+the right-hand side: ``(m+1) x (n+1)`` cells instead of the full
+``(m+1) x (2n+m+n_art+1)``.  The reduced costs of the other members follow
+from the identities, so Bland's rule still runs over the full numbering and
+makes the same pivots, in the same order, as on the full tableau, and the
+solve returns the same witness.  After a pivot on ``(p, q)`` the leaving
+variable becomes the representative of slot ``q``; its column is the old
+column ``q`` negated, with ``delta`` at row ``p``.
+
+Fraction-free arithmetic
+------------------------
 The tableau is stored as ``delta`` times the true rational tableau, where
 ``delta`` is the (always positive) determinant of the current basis.  A
-one-step fraction-free pivot
+one-step fraction-free pivot (Bareiss 1968)
 
     T'[i][j] = (T[p][q] * T[i][j] - T[i][q] * T[p][j]) // delta
 
 keeps every entry an exact integer (the division is exact), so sign tests,
-Bland's rule and the ratio test are all exact integer comparisons and the
+Bland's rule and the ratio test are exact integer comparisons and the
 feasibility answer carries no rounding error.
 
-Two interchangeable implementations of the pivot loop exist:
-
-* a numba ``@njit`` kernel on int64 arrays (the fast path), and
-* a numpy implementation of the same loop, used both as the int64 fallback
-  when numba is unavailable and, with an object-dtype tableau of Python
-  ints, as the unbounded-precision escape hatch.
-
-The int64 kernels bail out with an OVERFLOW status whenever any entry
-passes 2**30 (products then stay below 2**61), and the caller retries on
-an object-dtype tableau, which cannot overflow.  Set ``PTFKIT_BACKEND`` to
-``numba`` or ``numpy`` to pick the fast path; the default is numba when it
-imports.
+The pivot loop first runs on an int64 tableau and bails out with an
+OVERFLOW status whenever an entry passes ``_INT64_GUARD`` = 2**30.  With
+entries at most 2**30 and a derived artificial reduced cost at most 2**31,
+every product in a pivot is at most 2**61 and every numerator at most 2**62
+in absolute value.
+On OVERFLOW the solve restarts on an object-dtype tableau of Python ints,
+which cannot overflow and makes the same pivots.
 """
 
 from __future__ import annotations
 
-import os
-from fractions import Fraction
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAS_NUMBA = False
 
 FEASIBLE = 0
 INFEASIBLE = 1
@@ -46,195 +66,131 @@ UNBOUNDED = 3
 # Entries above this make the next pivot's intermediates unsafe for int64.
 _INT64_GUARD = 1 << 30
 
-_VALID_BACKENDS = ("numba", "numpy")
+
+def _build_tableau(A, b, dtype):
+    """Condensed phase-1 tableau for ``A x <= b`` over free ``x``.
+
+    Returns ``(T, basis, rep, partner)``.  ``T`` holds the ``x+`` columns of
+    the sign-adjusted rows, the right-hand side last, and the phase-1
+    reduced costs in row ``m``.  ``basis[i]`` is the variable basic in row
+    ``i``; ``rep[k]`` the variable whose column slot ``k`` holds; and
+    ``partner[v]`` the other member of ``v``'s group, or -1 for the slack of
+    a row that needed no artificial.
+    """
+    m, n = A.shape
+    neg = b < 0
+    T = np.empty((m + 1, n + 1), dtype=dtype)
+    T[:m, :n] = A
+    T[:m, n] = b
+    negated = np.flatnonzero(neg)
+    T[negated] *= -1
+    T[m] = -T[negated].sum(axis=0)
+    first_slack, first_art = 2 * n, 2 * n + m
+    basis = list(range(first_slack, first_art))
+    partner = list(range(n, 2 * n)) + list(range(n)) + [-1] * m
+    for t, i in enumerate(negated.tolist()):
+        basis[i] = first_art + t
+        partner[first_slack + i] = first_art + t
+        partner.append(first_slack + i)
+    return T, basis, list(range(n)), partner
 
 
-def _initial_backend() -> str:
-    choice = os.environ.get("PTFKIT_BACKEND", "").lower()
-    if choice in _VALID_BACKENDS:
-        if choice == "numba" and not _HAS_NUMBA:
-            return "numpy"
-        return choice
-    return "numba" if _HAS_NUMBA else "numpy"
+def _pivot_loop_numpy(T, basis, rep, partner, guarded: bool):
+    """Pivot a condensed tableau (int64 or object dtype) to phase-1 optimality.
 
-
-_backend = _initial_backend()
-
-
-def get_backend() -> str:
-    """Name of the fast-path kernel currently in use."""
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    """Select the fast-path kernel ("numba" or "numpy")."""
-    global _backend
-    if name not in _VALID_BACKENDS:
-        raise ValueError(f"backend must be one of {_VALID_BACKENDS}, got {name!r}")
-    if name == "numba" and not _HAS_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    _backend = name
-
-
-def _pivot_loop_numpy(T, basis, guarded: bool):
-    """Pivot to phase-1 optimality on a numpy tableau (int64 or object)."""
+    ``T``, ``basis`` and ``rep`` are updated in place.  Returns
+    ``(status, delta)``.
+    """
     m = T.shape[0] - 1
-    last = T.shape[1] - 1
+    n = T.shape[1] - 1
+    first_slack = 2 * n
     delta = T.dtype.type(1) if T.dtype != object else 1
     while True:
-        if guarded and np.abs(T).max() > _INT64_GUARD:
+        if guarded and (T.max() > _INT64_GUARD or T.min() < -_INT64_GUARD):
             return OVERFLOW, delta
-        negative = np.nonzero(T[m, :last] < 0)[0]
-        if negative.size == 0:
+        # Bland: the lowest-numbered variable with a negative reduced cost.
+        # A slot's partner has reduced cost -D (structural) or delta - D
+        # (slack/artificial pair).
+        enter = q = -1
+        for k, d in enumerate(T[m, :n].tolist()):
+            v = rep[k]
+            if d >= 0:
+                v = partner[v]
+                if v < 0 or d <= (delta if v >= first_slack else 0):
+                    continue
+            if enter < 0 or v < enter:
+                enter, q = v, k
+        if enter < 0:
             break
-        q = int(negative[0])
-        candidates = np.nonzero(T[:m, q] > 0)[0]
-        if candidates.size == 0:
+        if enter != rep[q]:
+            d = T[m, q]
+            T[:, q] *= -1
+            if enter >= first_slack:
+                T[m, q] = delta - d
+            rep[q] = enter
+        # Ratio test, ties to the lowest-numbered leaving variable.
+        col = T[:m, q].tolist()
+        rhs = T[:m, n].tolist()
+        p = -1
+        for i, a in enumerate(col):
+            if a > 0:
+                if p < 0:
+                    p = i
+                    continue
+                lhs = rhs[i] * col[p]
+                cur = rhs[p] * a
+                if lhs < cur or (lhs == cur and basis[i] < basis[p]):
+                    p = i
+        if p < 0:
             return UNBOUNDED, delta
-        p = int(candidates[0])
-        for i in candidates[1:]:
-            i = int(i)
-            lhs = T[i, last] * T[p, q]
-            rhs = T[p, last] * T[i, q]
-            if lhs < rhs or (lhs == rhs and basis[i] < basis[p]):
-                p = i
         piv = T[p, q]
         row_p = T[p].copy()
         col_q = T[:, q].copy()
         T *= piv
-        T -= np.outer(col_q, row_p)
+        T -= col_q[:, None] * row_p
         T //= delta
         T[p] = row_p
+        T[:, q] = -col_q
+        T[p, q] = delta
         delta = piv
-        basis[p] = q
-    if T[m, last] < 0:
+        rep[q] = basis[p]
+        basis[p] = enter
+    if T[m, n] < 0:
         return INFEASIBLE, delta
     return FEASIBLE, delta
-
-
-if _HAS_NUMBA:
-
-    @njit(cache=True)
-    def _pivot_loop_numba(T, basis):  # pragma: no cover - compiled
-        m = T.shape[0] - 1
-        ncols = T.shape[1]
-        last = ncols - 1
-        delta = np.int64(1)
-        while True:
-            biggest = np.int64(0)
-            for i in range(m + 1):
-                for j in range(ncols):
-                    v = T[i, j]
-                    if v < 0:
-                        v = -v
-                    if v > biggest:
-                        biggest = v
-            if biggest > _INT64_GUARD:
-                return OVERFLOW, delta
-            q = -1
-            for j in range(last):
-                if T[m, j] < 0:
-                    q = j
-                    break
-            if q == -1:
-                break
-            p = -1
-            for i in range(m):
-                if T[i, q] > 0:
-                    if p == -1:
-                        p = i
-                    else:
-                        lhs = T[i, last] * T[p, q]
-                        rhs = T[p, last] * T[i, q]
-                        if lhs < rhs or (lhs == rhs and basis[i] < basis[p]):
-                            p = i
-            if p == -1:
-                return UNBOUNDED, delta
-            piv = T[p, q]
-            for i in range(m + 1):
-                if i == p:
-                    continue
-                t_iq = T[i, q]
-                for j in range(ncols):
-                    T[i, j] = (piv * T[i, j] - t_iq * T[p, j]) // delta
-            delta = piv
-            basis[p] = q
-        if T[m, last] < 0:
-            return INFEASIBLE, delta
-        return FEASIBLE, delta
-
-
-def _build_tableau(A, b, dtype):
-    """Phase-1 tableau for ``A z <= b, z >= 0``.
-
-    Rows with negative right-hand side are negated and given an artificial
-    basic variable; the objective row prices out those artificials so the
-    phase-1 objective (their sum) starts correctly reduced.
-    """
-    m, ns = A.shape
-    neg = [i for i in range(m) if b[i] < 0]
-    n_art = len(neg)
-    ncols = ns + m + n_art + 1
-    T = np.zeros((m + 1, ncols), dtype=dtype)
-    basis = np.empty(m, dtype=np.int64)
-    art_at = 0
-    for i in range(m):
-        sign = -1 if b[i] < 0 else 1
-        for j in range(ns):
-            T[i, j] = sign * int(A[i, j])
-        T[i, ns + i] = sign
-        T[i, ncols - 1] = sign * int(b[i])
-        if sign < 0:
-            T[i, ns + m + art_at] = 1
-            basis[i] = ns + m + art_at
-            art_at += 1
-        else:
-            basis[i] = ns + i
-    for i in neg:
-        T[m] -= T[i]
-    for t in range(n_art):
-        T[m, ns + m + t] += 1
-    return T, basis
 
 
 def solve_free_le(A, b, nvars: int):
     """Feasibility of ``A x <= b`` over free (sign-unrestricted) variables.
 
     ``A`` is an integer matrix with ``nvars`` columns, ``b`` an integer
-    vector.  Returns ``(feasible, witness)`` where the witness is a tuple
-    of exact Fractions.  Runs phase 1 of the two-phase simplex with
-    Bland's rule; with no objective to optimize, phase 2 is vacuous.
+    vector.  Returns None when infeasible, else ``(num, den)``: Python-int
+    numerators of a witness over one positive common denominator.  Runs
+    phase 1 of the two-phase simplex with Bland's rule; with no objective
+    to optimize, phase 2 is vacuous.
     """
     A = np.asarray(A)
     b = np.asarray(b)
     m = A.shape[0]
     if m == 0:
-        return True, (Fraction(0),) * nvars
-    split = np.hstack([A, -A]).astype(object)
-
-    small = max(int(abs(split).max(initial=0)), int(abs(b).max(initial=0))) <= _INT64_GUARD
+        return [0] * nvars, 1
     status = OVERFLOW
-    if small:
-        T, basis = _build_tableau(split, b, np.int64)
-        if _backend == "numba" and _HAS_NUMBA:
-            status, delta = _pivot_loop_numba(T, basis)
-        else:
-            status, delta = _pivot_loop_numpy(T, basis, guarded=True)
+    if max(int(np.abs(A).max(initial=0)), int(np.abs(b).max(initial=0))) <= _INT64_GUARD:
+        T, basis, rep, partner = _build_tableau(A, b, np.int64)
+        status, delta = _pivot_loop_numpy(T, basis, rep, partner, guarded=True)
     if status == OVERFLOW:
-        T, basis = _build_tableau(split, b, object)
-        status, delta = _pivot_loop_numpy(T, basis, guarded=False)
+        T, basis, rep, partner = _build_tableau(A, b, object)
+        status, delta = _pivot_loop_numpy(T, basis, rep, partner, guarded=False)
     if status == UNBOUNDED:
         # Phase 1 minimizes a sum of nonnegative variables; it cannot be
         # unbounded, so this would be a kernel bug.
         raise AssertionError("phase-1 simplex reported unbounded")
     if status == INFEASIBLE:
-        return False, None
-
-    values = {}
-    last = T.shape[1] - 1
-    for i in range(m):
-        values[int(basis[i])] = Fraction(int(T[i, last]), int(delta))
-    witness = tuple(
-        values.get(j, Fraction(0)) - values.get(nvars + j, Fraction(0)) for j in range(nvars)
-    )
-    return True, witness
+        return None
+    num = [0] * nvars
+    for v, value in zip(basis, T[:m, nvars].tolist()):
+        if v < nvars:
+            num[v] = value
+        elif v < 2 * nvars:
+            num[v - nvars] = -value
+    return num, int(delta)

@@ -25,7 +25,7 @@ from itertools import chain, combinations_with_replacement
 
 import numpy as np
 
-from .core import InputVector, TruthTable, vector_at
+from .core import InputVector, TruthTable, index_of, vector_at
 from .errors import PreconditionError
 from .ptf import PTF, is_threshold
 
@@ -52,19 +52,12 @@ class SummabilityCertificate:
         """Re-check the certificate by addition and membership."""
         if self.k < 2 or len(self.true_vectors) != self.k or len(self.false_vectors) != self.k:
             return False
-        if any(f.bits[_index(v)] != 1 for v in self.true_vectors):
+        if any(f.bits[index_of(v)] != 1 for v in self.true_vectors):
             return False
-        if any(f.bits[_index(v)] != 0 for v in self.false_vectors):
+        if any(f.bits[index_of(v)] != 0 for v in self.false_vectors):
             return False
         t, fs = self.sums()
         return t == fs
-
-
-def _index(v: InputVector) -> int:
-    idx = 0
-    for i, x in enumerate(v):
-        idx |= x << i
-    return idx
 
 
 def _multiset_sums(vectors: np.ndarray, k: int, base: int) -> tuple[np.ndarray, np.ndarray]:

@@ -55,8 +55,7 @@ def _table_json(t: TruthTable) -> str:
 
 def cmd_analyze(args) -> dict:
     f = parse_table(args.table)
-    d = ptf.order(f)
-    witness = ptf.realize_at_degree(f, d)
+    d, witness = ptf.minimal_realization(f)
     return {
         "n": f.n,
         "order": d,
@@ -67,11 +66,11 @@ def cmd_analyze(args) -> dict:
 
 def cmd_hov(args) -> dict:
     g = parse_table(args.table)
-    results = highorder.high_order_vectors(g)
+    r, results = highorder.high_order_search(g)
     return {
         "n": g.n,
-        "order": ptf.order(g),
-        "high_order_vectors": [highorder.hov_to_json(r) for r in results],
+        "order": r,
+        "high_order_vectors": [highorder.hov_to_json(hit) for hit in results],
     }
 
 
@@ -119,8 +118,14 @@ def cmd_family(args) -> dict:
     weights, theta = ptf.parse_weight_lines(_read_text(args.weights))
     if theta is not None:
         raise ParseError("weight files for 'family' must not carry a theta line")
-    n = args.n or max((m[-1] for m in weights), default=1)
-    fam = ptf.same_weight_family(weights, n)
+    largest = max((m[-1] for m in weights), default=1)
+    n = largest if args.n is None else args.n
+    if n < largest:
+        raise PreconditionError(f"--n {n} is below the largest variable index {largest}")
+    try:
+        fam = ptf.same_weight_family(weights, n)
+    except ValueError as exc:
+        raise ParseError(f"invalid weight map in {args.weights}: {exc}") from exc
     return {
         "n": n,
         "levels": [format_fraction(v) for v in fam.levels],
@@ -151,11 +156,8 @@ def cmd_eval(args) -> dict:
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON in {args.file}: {exc}") from exc
         if isinstance(data, list):
-            rep = multithreshold.XorList(
-                tuple(ptf.parse_ptf_text(member) for member in data)
-            )
-            n = rep.n
-            X = _parse_vector(args.at, n)
+            rep = multithreshold.xor_list_from_json(data)
+            X = _parse_vector(args.at, rep.n)
             value = multithreshold.eval_xor_list(rep.members, X)
             kind = "xor_list"
         else:

@@ -23,7 +23,7 @@ from .core import InputVector, TruthTable, all_vectors, flip_at, minterms, xor
 from .errors import DimensionMismatch, PreconditionError
 from .ptf import PTF, is_threshold, order, truth_table
 
-# Each probe costs two order computations; keep enumeration at desk scale.
+# Each probe costs an order computation; keep enumeration at desk scale.
 MAX_PROBE_VARS = 6
 
 
@@ -36,27 +36,44 @@ class HighOrderVectorResult:
     order_after: int
 
 
-def is_high_order_vector(g: TruthTable, Y: InputVector) -> HighOrderVectorResult | None:
-    """Present iff flipping g at Y changes the minimal order."""
-    if len(Y) != g.n:
-        raise DimensionMismatch(f"vector has {len(Y)} entries, function has {g.n} variables")
+def _check_probe_size(g: TruthTable) -> None:
     if g.n > MAX_PROBE_VARS:
         raise PreconditionError(f"high-order probes capped at n <= {MAX_PROBE_VARS}, got {g.n}")
-    r = order(g)
+
+
+def _flip_changes_order(g: TruthTable, r: int, Y: InputVector) -> HighOrderVectorResult | None:
     s = order(flip_at(g, Y))
     if s == r:
         return None
     return HighOrderVectorResult(tuple(Y), r, s)
 
 
-def high_order_vectors(g: TruthTable) -> list[HighOrderVectorResult]:
-    """All qualifying flip points, in ascending table-index order."""
+def is_high_order_vector(g: TruthTable, Y: InputVector) -> HighOrderVectorResult | None:
+    """Present iff flipping g at Y changes the minimal order."""
+    if len(Y) != g.n:
+        raise DimensionMismatch(f"vector has {len(Y)} entries, function has {g.n} variables")
+    _check_probe_size(g)
+    return _flip_changes_order(g, order(g), Y)
+
+
+def high_order_search(g: TruthTable) -> tuple[int, list[HighOrderVectorResult]]:
+    """The order of g and all qualifying flip points, in ascending table-index order.
+
+    Computes the order of g once, then one order per flip point.
+    """
+    _check_probe_size(g)
+    r = order(g)
     results = []
     for Y in all_vectors(g.n):
-        hit = is_high_order_vector(g, Y)
+        hit = _flip_changes_order(g, r, Y)
         if hit is not None:
             results.append(hit)
-    return results
+    return r, results
+
+
+def high_order_vectors(g: TruthTable) -> list[HighOrderVectorResult]:
+    """All qualifying flip points, in ascending table-index order."""
+    return high_order_search(g)[1]
 
 
 def single_minterm_witness(Y: InputVector) -> PTF:

@@ -8,10 +8,11 @@ inequalities never reach this module; callers rescale them into closed
 constraints first.
 
 Arithmetic is exact throughout: rational inputs are cleared to integers
-row by row, and the simplex kernels in :mod:`ptfkit._simplex` pivot on an
-integer tableau.  Every witness is re-substituted into every original
-constraint before being returned; a violation would be a kernel bug and
-raises immediately.
+row by row, and the simplex in :mod:`ptfkit._simplex` pivots on an integer
+tableau.  The simplex returns integer witness numerators over one common
+denominator, and every witness is re-substituted into every (cleared)
+constraint in integer arithmetic before being returned; a violation would
+be a kernel bug and raises immediately.
 """
 
 from __future__ import annotations
@@ -77,15 +78,7 @@ def feasible(constraints: Sequence[LinearConstraint], nvars: int) -> Feasibility
         sign = -1 if c.relation == GE else 1
         rows.append([sign * int(v * scale) for v in c.coeffs])
         rhs.append(sign * int(c.rhs * scale))
-    A = np.array(rows, dtype=object)
-    b = np.array(rhs, dtype=object)
-    ok, witness = _simplex.solve_free_le(A, b, nvars)
-    if not ok:
-        return FeasibilityResult(False, None)
-    for c in constraints:
-        if not c.satisfied_by(witness):
-            raise AssertionError("simplex produced a witness violating a constraint")
-    return FeasibilityResult(True, witness)
+    return _decide(np.array(rows, dtype=object), np.array(rhs, dtype=object), nvars)
 
 
 def feasible_le_int(A, b, nvars: int) -> FeasibilityResult:
@@ -95,12 +88,31 @@ def feasible_le_int(A, b, nvars: int) -> FeasibilityResult:
     realizability encodings do).  Same contract as :func:`feasible`,
     including the exact witness re-check.
     """
-    A = np.asarray(A)
-    ok, witness = _simplex.solve_free_le(A, b, nvars)
-    if not ok:
+    return _decide(np.asarray(A), np.asarray(b), nvars)
+
+
+def _decide(A, b, nvars: int) -> FeasibilityResult:
+    """Solve integer ``A x <= b`` and re-check the witness exactly."""
+    solved = _simplex.solve_free_le(A, b, nvars)
+    if solved is None:
         return FeasibilityResult(False, None)
-    for i in range(A.shape[0]):
-        value = sum((Fraction(int(A[i, j])) * witness[j] for j in range(nvars)), Fraction(0))
-        if value > int(b[i]):
-            raise AssertionError("simplex produced a witness violating a constraint")
-    return FeasibilityResult(True, witness)
+    num, den = solved
+    if not _holds(A, b, num, den):
+        raise AssertionError("simplex produced a witness violating a constraint")
+    return FeasibilityResult(True, tuple(Fraction(v, den) for v in num))
+
+
+def _holds(A, b, num: list[int], den: int) -> bool:
+    """Exact test of ``A @ num <= b * den`` for integer ``A``, ``b``, ``num``, ``den``.
+
+    Uses int64 when a bound on every value is below 2**62, else Python ints.
+    """
+    if A.shape[0] == 0:
+        return True
+    bound = max(
+        int(np.abs(A).max()) * max(1, sum(map(abs, num))),
+        int(np.abs(b).max()) * den,
+    )
+    dtype = np.int64 if bound < 1 << 62 else object
+    lhs = A.astype(dtype) @ np.array(num, dtype=dtype)
+    return bool((lhs <= b.astype(dtype) * den).all())

@@ -33,7 +33,7 @@ from .core import (
     const,
     xor,
 )
-from .errors import DimensionMismatch, PreconditionError
+from .errors import DimensionMismatch, ParseError, PreconditionError
 from .ptf import (
     PTF,
     WeightMap,
@@ -42,6 +42,7 @@ from .ptf import (
     format_ptf_text,
     parse_fraction,
     parse_monomial,
+    parse_ptf_text,
     share_weights,
     truth_table,
     weighted_sum,
@@ -267,12 +268,38 @@ def shared_weight_to_json(rep: SharedWeight) -> dict:
     }
 
 
-def shared_weight_from_json(data: dict) -> SharedWeight:
+def shared_weight_from_json(data) -> SharedWeight:
+    """Read the JSON form written by :func:`shared_weight_to_json`."""
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("weights"), dict)
+        and isinstance(data.get("thresholds"), list)
+        and all(isinstance(v, str) for v in data["weights"].values())
+        and all(isinstance(t, str) for t in data["thresholds"])
+    ):
+        raise ParseError(
+            'shared-weight JSON needs a "weights" object and a "thresholds" list of rational strings'
+        )
     weights = {parse_monomial(k): parse_fraction(v) for k, v in data["weights"].items()}
     thresholds = tuple(parse_fraction(t) for t in data["thresholds"])
-    n = int(data.get("n") or max((m[-1] for m in weights), default=1))
-    return SharedWeight(n, weights, thresholds)
+    n = data.get("n") or max((m[-1] for m in weights), default=1)
+    if not isinstance(n, int):
+        raise ParseError(f'shared-weight JSON "n" must be an integer, got {n!r}')
+    try:
+        return SharedWeight(n, weights, thresholds)
+    except ValueError as exc:
+        raise ParseError(f"invalid shared-weight JSON: {exc}") from exc
 
 
 def xor_list_to_json(rep: XorList) -> list[str]:
     return [format_ptf_text(p) for p in rep.members]
+
+
+def xor_list_from_json(data) -> XorList:
+    """Read the JSON form written by :func:`xor_list_to_json`."""
+    if not isinstance(data, list) or not all(isinstance(member, str) for member in data):
+        raise ParseError("XOR-list JSON must be a list of threshold text forms")
+    try:
+        return XorList(tuple(parse_ptf_text(member) for member in data))
+    except ValueError as exc:
+        raise ParseError(f"invalid XOR-list JSON: {exc}") from exc

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ptfkit
-from ptfkit import TruthTable, is_threshold, parse_table
+from ptfkit import TruthTable, parse_table
 
 XOR2 = parse_table("0110")
 XNOR2 = parse_table("1001")
@@ -32,13 +32,6 @@ def all_tables(n: int):
         yield TruthTable(n, bits)
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _warm_lp_kernel():
-    # First LP call may JIT-compile the numba kernel; keep that out of
-    # individual test timings.
-    is_threshold(XOR2)
-
-
 @pytest.fixture
 def subprocess_env():
     """Build the environment for a child Python that must import this ptfkit.
@@ -46,18 +39,16 @@ def subprocess_env():
     The child inherits ``os.environ`` with the directory holding the
     imported ``ptfkit`` package put first on ``PYTHONPATH``, as an absolute
     path, so it imports the code under test whatever the working directory
-    and however the package reached ``sys.path``. Keyword arguments
-    override single variables, e.g. ``subprocess_env(PTFKIT_BACKEND="numpy")``.
+    and however the package reached ``sys.path``.
     """
     pkg_parent = str(Path(ptfkit.__file__).resolve().parent.parent)
 
-    def make(**overrides: str) -> dict[str, str]:
+    def make() -> dict[str, str]:
         env = dict(os.environ)
         inherited = env.get("PYTHONPATH")
         env["PYTHONPATH"] = (
             pkg_parent + os.pathsep + inherited if inherited else pkg_parent
         )
-        env.update(overrides)
         return env
 
     return make

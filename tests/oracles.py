@@ -3,7 +3,7 @@
 Everything here deliberately avoids the code paths under test: threshold
 functions are enumerated by trying every small integer weight/threshold
 combination, certificates by direct multiset enumeration, and LP systems
-by scanning integer grid points.
+by scanning integer grid points or by a plain full-tableau simplex.
 """
 
 from __future__ import annotations
@@ -62,3 +62,63 @@ def find_integer_point(constraints, nvars: int, bound: int):
         if integer_point_satisfies(constraints, point):
             return point
     return None
+
+
+def full_tableau_solve(A, b, nvars: int):
+    """Reference phase-1 simplex on the full fraction-free tableau.
+
+    The tableau is ``[A | -A | slack | artificial | b]`` in object dtype
+    (Python ints), scaled by the basis determinant ``delta``.  Rows with a
+    negative right-hand side are negated and given an artificial.  Bland's
+    rule enters the lowest column with a negative reduced cost and breaks
+    ratio-test ties by the lowest basic column.  Returns ``(feasible,
+    witness)`` with the witness as a tuple of Fractions.
+    """
+    A = [[int(v) for v in row] for row in A]
+    b = [int(v) for v in b]
+    m, ns = len(A), 2 * nvars
+    if m == 0:
+        return True, (Fraction(0),) * nvars
+    neg = [i for i in range(m) if b[i] < 0]
+    ncols = ns + m + len(neg) + 1
+    T = np.zeros((m + 1, ncols), dtype=object)
+    basis = []
+    for i in range(m):
+        s = -1 if b[i] < 0 else 1
+        T[i, :ns] = [s * v for v in A[i]] + [-s * v for v in A[i]]
+        T[i, ns + i] = s
+        T[i, -1] = s * b[i]
+        basis.append(ns + i)
+        if s < 0:
+            basis[i] = ns + m + neg.index(i)
+            T[i, basis[i]] = 1
+            T[m] -= T[i]
+    T[m, ns + m : ncols - 1] += 1  # price out the basic artificials
+    delta = 1
+    while True:
+        entering = [j for j in range(ncols - 1) if T[m, j] < 0]
+        if not entering:
+            break
+        q = entering[0]
+        p = None
+        for i in range(m):
+            if T[i, q] > 0:
+                if p is None:
+                    p = i
+                    continue
+                lhs, rhs = T[i, -1] * T[p, q], T[p, -1] * T[i, q]
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[p]):
+                    p = i
+        assert p is not None, "phase 1 cannot be unbounded"
+        piv = T[p, q]
+        row_p = T[p].copy()
+        T = (T * piv - np.outer(T[:, q], row_p)) // delta
+        T[p] = row_p
+        delta = piv
+        basis[p] = q
+    if T[m, -1] < 0:
+        return False, None
+    values = {basis[i]: Fraction(T[i, -1], delta) for i in range(m)}
+    return True, tuple(
+        values.get(j, Fraction(0)) - values.get(nvars + j, Fraction(0)) for j in range(nvars)
+    )

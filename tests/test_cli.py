@@ -111,6 +111,46 @@ def test_eval_xor_list_json(tmp_path, capsys):
     assert bits == [0, 1, 1, 0]
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        "{}",
+        "[]",
+        "42",
+        "[1, 2]",
+        '{"weights": {"1": 1}, "thresholds": ["1"]}',
+        '{"n": "two", "weights": {"1": "1"}, "thresholds": ["1"]}',
+        '["1+2: 1\\ntheta: 1\\n"]',
+    ],
+    ids=["empty-object", "empty-list", "scalar", "non-string-members", "numeric-weights",
+         "non-integer-n", "xor-member-order-2"],
+)
+def test_eval_malformed_json_exits_1(content, tmp_path, capsys):
+    rep_file = tmp_path / "rep.json"
+    rep_file.write_text(content)
+    assert run(["eval", str(rep_file), "--at", "1"]) == 1
+    assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "weights,n",
+    [("1: 1\n2: 1\n", "0"), ("1: 1\n2: 1\n", "-1"), ("1: 1\n2: 1\n", "1"), ("1: 1\n", "40")],
+    ids=["zero", "negative", "below-largest-index", "above-cap"],
+)
+def test_family_bad_variable_count_exits_2(weights, n, tmp_path, capsys):
+    path = tmp_path / "w.weights"
+    path.write_text(weights)
+    assert run(["family", str(path), "--n", n]) == 2
+    assert "precondition" in capsys.readouterr().err
+
+
+def test_family_malformed_monomial_exits_1(tmp_path, capsys):
+    path = tmp_path / "w.weights"
+    path.write_text("2+1: 1\n")
+    assert run(["family", str(path)]) == 1
+    assert "error" in capsys.readouterr().err
+
+
 def test_parse_error_exits_1(capsys):
     assert run(["analyze", "01x0"]) == 1
     assert "error" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Exact LP feasibility: examples, witnesses, oracle agreement, backends."""
+"""Exact LP feasibility: examples, witnesses, oracle and reference agreement."""
 
 from __future__ import annotations
 
@@ -8,10 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ptfkit import FeasibilityResult, LinearConstraint, feasible
+from ptfkit import PTF, FeasibilityResult, LinearConstraint, feasible, ptf
 from ptfkit import _simplex
 from ptfkit.lp import feasible_le_int
-from oracles import find_integer_point
+from conftest import all_tables
+from oracles import find_integer_point, full_tableau_solve
 
 
 def c(coeffs, relation, rhs):
@@ -111,27 +112,65 @@ def test_feasible_by_construction_systems():
         assert res.feasible
 
 
-def test_backend_parity():
-    rng = random.Random(31337)
-    systems = []
-    for _ in range(40):
-        nvars = rng.randint(1, 4)
+def _random_systems(seed: int, count: int):
+    rng = random.Random(seed)
+    for k in range(count):
+        nvars = rng.randint(1, 5)
+        bound = 1 << 40 if k % 50 == 0 else 6
         rows = [
-            [rng.randint(-5, 5) for _ in range(nvars)] for _ in range(rng.randint(1, 8))
+            [rng.randint(-bound, bound) for _ in range(nvars)] for _ in range(rng.randint(1, 10))
         ]
-        rhs = [rng.randint(-6, 6) for _ in rows]
-        systems.append((np.array(rows), np.array(rhs), nvars))
-    saved = _simplex.get_backend()
-    try:
-        answers = {}
-        backends = ["numpy"] + (["numba"] if _simplex._HAS_NUMBA else [])
-        for backend in backends:
-            _simplex.set_backend(backend)
-            answers[backend] = [feasible_le_int(A, b, nv) for A, b, nv in systems]
-        if len(backends) == 2:
-            assert answers["numba"] == answers["numpy"]
-    finally:
-        _simplex.set_backend(saved)
+        rhs = [rng.randint(-7, 7) for _ in rows]
+        yield np.array(rows, dtype=object), np.array(rhs, dtype=object), nvars
+
+
+def _realization_system(f, d):
+    """The LP that ``realize_at_degree`` solves: one row per input, weights then theta."""
+    mons, M = ptf._monomial_matrix(f.n, d)
+    true_row = np.array(f.bits) == 1
+    A = np.hstack([np.where(true_row[:, None], -M, M), np.where(true_row, 1, -1)[:, None]])
+    return mons, A, np.where(true_row, 0, -1)
+
+
+def test_witnesses_match_full_tableau_reference_on_random_systems():
+    # the condensed tableau makes the reference's pivots, so every witness is equal
+    for A, b, nvars in _random_systems(31337, 400):
+        res = feasible_le_int(A, b, nvars)
+        assert (res.feasible, res.witness) == full_tableau_solve(A, b, nvars)
+
+
+def test_witnesses_match_full_tableau_reference_on_every_n3_table():
+    for f in all_tables(3):
+        for d in range(4):
+            mons, A, b = _realization_system(f, d)
+            ok, w = full_tableau_solve(A, b, A.shape[1])
+            expected = PTF(3, dict(zip(mons, w)), w[-1]) if ok else None
+            assert ptf.realize_at_degree(f, d) == expected
+
+
+def test_overflow_mid_solve_restarts_on_object_dtype(monkeypatch):
+    A = np.array([[1, 2, 6], [1, 1, 2], [3, -3, -4], [6, 2, 1], [4, 3, 6], [-4, -5, 1]])
+    b = np.array([-3, -5, -6, 1, 5, 7])
+    nvars = 3
+    before = feasible_le_int(A, b, nvars)
+    seen = []
+    loop = _simplex._pivot_loop_numpy
+
+    def spy(T, *args, **kwargs):
+        start = T.copy()
+        status, delta = loop(T, *args, **kwargs)
+        seen.append((T.dtype, status, not np.array_equal(T, start)))
+        return status, delta
+
+    # a guard the initial tableau meets but later pivots pass
+    T0 = _simplex._build_tableau(A, b, np.int64)[0]
+    monkeypatch.setattr(_simplex, "_INT64_GUARD", int(np.abs(T0).max()))
+    monkeypatch.setattr(_simplex, "_pivot_loop_numpy", spy)
+    after = feasible_le_int(A, b, nvars)
+    assert seen == [(np.int64, _simplex.OVERFLOW, True), (object, _simplex.FEASIBLE, True)]
+    assert after == before
+    assert after.witness == (Fraction(-195, 64), Fraction(49, 64), Fraction(-87, 64))
+    assert (after.feasible, after.witness) == full_tableau_solve(A, b, nvars)
 
 
 def test_overflow_falls_back_to_exact_path():
