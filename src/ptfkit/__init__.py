@@ -41,7 +41,7 @@ from .highorder import (
     order_reduce,
     single_minterm_witness,
 )
-from .lp import FeasibilityResult, LinearConstraint, Rational, feasible
+from .lp import FeasibilityResult, LinearConstraint, feasible
 from .multithreshold import (
     MultithresholdRep,
     OrderExtensionResult,
@@ -84,7 +84,6 @@ __all__ = [
     "ParseError",
     "PreconditionError",
     "PtfkitError",
-    "Rational",
     "SameWeightFamily",
     "SharedWeight",
     "SummabilityCertificate",

@@ -52,6 +52,37 @@ every product in a pivot is at most 2**61 and every numerator at most 2**62
 in absolute value.
 On OVERFLOW the solve restarts on an object-dtype tableau of Python ints,
 which cannot overflow and makes the same pivots.
+
+Farkas phase 1
+--------------
+``solve_farkas`` decides the same system through its Farkas alternative
+(Farkas 1902): exactly one of ``A x <= b`` and
+
+    y >= 0,   A^T y = 0,   -b^T y = 1
+
+has a solution.  The alternative has ``n + 1`` equality rows over ``m``
+nonnegative ``y``, so its phase-1 tableau is ``(n+2) x (m+n+2)``: one
+artificial per row (all right-hand sides are 0 or 1, so none is negated),
+the ``y`` columns, and the right-hand side.  A realizability LP over
+``k`` Boolean variables has ``m = 2^k`` rows but only ``n`` = (number of
+monomials) + 1 unknowns, so this tableau has far fewer rows than the
+primal's and needs far fewer pivots.
+
+The artificials are numbered before the ``y`` columns and kept in the
+tableau.  Bland's rule enters the lowest-numbered ``y`` with a negative
+reduced cost (an artificial that left never re-enters), and the ratio test
+breaks ties by the lowest-numbered basic variable, so artificials leave
+first.  The same Bareiss pivot and int64 guard apply as above.
+
+The solve ends with a proof either way:
+
+* the artificials' sum reaches 0: the basic ``y`` values are a Farkas
+  ray, and ``A x <= b`` is infeasible;
+* no ``y`` column prices out while the sum ``w`` is still positive: the
+  simplex multipliers ``pi = (u, t)``, read from the artificials'
+  reduced costs ``1 - pi_k``, satisfy ``A u - b t <= 0`` (the ``y``
+  columns price out) and ``t = w > 0``, so ``u / t`` is a point of
+  ``A x <= b``.
 """
 
 from __future__ import annotations
@@ -95,6 +126,25 @@ def _build_tableau(A, b, dtype):
     return T, basis, list(range(n)), partner
 
 
+def _leaving_row(col, rhs, basis) -> int:
+    """Ratio test over Python ints, ties to the lowest-numbered basic variable.
+
+    Returns the row of the leaving variable, or -1 when no entry of the
+    entering column is positive.
+    """
+    p = -1
+    for i, a in enumerate(col):
+        if a > 0:
+            if p < 0:
+                p = i
+                continue
+            lhs = rhs[i] * col[p]
+            cur = rhs[p] * a
+            if lhs < cur or (lhs == cur and basis[i] < basis[p]):
+                p = i
+    return p
+
+
 def _pivot_loop_numpy(T, basis, rep, partner, guarded: bool):
     """Pivot a condensed tableau (int64 or object dtype) to phase-1 optimality.
 
@@ -128,19 +178,7 @@ def _pivot_loop_numpy(T, basis, rep, partner, guarded: bool):
             if enter >= first_slack:
                 T[m, q] = delta - d
             rep[q] = enter
-        # Ratio test, ties to the lowest-numbered leaving variable.
-        col = T[:m, q].tolist()
-        rhs = T[:m, n].tolist()
-        p = -1
-        for i, a in enumerate(col):
-            if a > 0:
-                if p < 0:
-                    p = i
-                    continue
-                lhs = rhs[i] * col[p]
-                cur = rhs[p] * a
-                if lhs < cur or (lhs == cur and basis[i] < basis[p]):
-                    p = i
+        p = _leaving_row(T[:m, q].tolist(), T[:m, n].tolist(), basis)
         if p < 0:
             return UNBOUNDED, delta
         piv = T[p, q]
@@ -160,6 +198,104 @@ def _pivot_loop_numpy(T, basis, rep, partner, guarded: bool):
     return FEASIBLE, delta
 
 
+def _build_farkas_tableau(A, b, dtype):
+    """Phase-1 tableau of ``y >= 0, A^T y = 0, -b^T y = 1``.
+
+    Columns are the ``n + 1`` artificials (the initial basis), the ``m``
+    ``y`` variables and the right-hand side; the reduced costs are in the
+    last row.  A column's index is its variable's number.
+    """
+    m, n = A.shape
+    r = n + 1
+    T = np.zeros((r + 1, r + m + 1), dtype=dtype)
+    T[range(r), range(r)] = 1
+    T[:n, r : r + m] = A.T
+    T[n, r : r + m] = -b
+    T[n, -1] = 1
+    T[r, r:] = -T[:r, r:].sum(axis=0)
+    return T, list(range(r))
+
+
+def _farkas_loop(T, basis, guarded: bool):
+    """Pivot a Farkas phase-1 tableau (int64 or object dtype) to a proof.
+
+    ``T`` and ``basis`` are updated in place.  Returns ``(status, delta)``
+    with status INFEASIBLE when the artificials' sum reached 0 (the basic
+    ``y`` form a ray), FEASIBLE when no ``y`` column prices out, OVERFLOW
+    or UNBOUNDED.
+    """
+    r = T.shape[0] - 1
+    last = T.shape[1] - 1
+    delta = T.dtype.type(1) if T.dtype != object else 1
+    while True:
+        if guarded and (T.max() > _INT64_GUARD or T.min() < -_INT64_GUARD):
+            return OVERFLOW, delta
+        if T[r, last] == 0:
+            return INFEASIBLE, delta
+        # Bland over the y columns only: artificials never re-enter.
+        costs = T[r, r:last] < 0
+        q = int(costs.argmax())
+        if not costs[q]:
+            return FEASIBLE, delta
+        q += r
+        p = _leaving_row(T[:r, q].tolist(), T[:r, last].tolist(), basis)
+        if p < 0:
+            return UNBOUNDED, delta
+        piv = T[p, q]
+        row_p = T[p].copy()
+        col_q = T[:, q].copy()
+        T *= piv
+        T -= col_q[:, None] * row_p
+        T //= delta
+        T[p] = row_p
+        delta = piv
+        basis[p] = q
+
+
+def _solve_exact(build, loop, A, b):
+    """Build and pivot a tableau on int64, restarting on Python ints on OVERFLOW.
+
+    ``build(A, b, dtype)`` returns the tableau state that ``loop(*state,
+    guarded=...)`` pivots in place.  Returns ``(state, status, delta)``.
+    """
+    status = OVERFLOW
+    if max(int(np.abs(A).max(initial=0)), int(np.abs(b).max(initial=0))) <= _INT64_GUARD:
+        state = build(A, b, np.int64)
+        status, delta = loop(*state, guarded=True)
+    if status == OVERFLOW:
+        state = build(A, b, object)
+        status, delta = loop(*state, guarded=False)
+    if status == UNBOUNDED:
+        # Phase 1 minimizes a sum of nonnegative variables; it cannot be
+        # unbounded, so this would be a kernel bug.
+        raise AssertionError("phase-1 simplex reported unbounded")
+    return state, status, delta
+
+
+def solve_farkas(A, b):
+    """Decide ``A x <= b`` over free variables by the Farkas phase 1.
+
+    ``A`` is an integer ``m x n`` matrix with ``m >= 1``, ``b`` an integer
+    vector.  Returns ``(False, y)`` with Python-int ``y >= 0``,
+    ``A^T y = 0`` and ``b^T y < 0`` when the system is infeasible, else
+    ``(True, (x, t))`` with Python ints, ``t > 0`` and ``A x <= t b``.
+    """
+    A = np.asarray(A)
+    b = np.asarray(b)
+    m, n = A.shape
+    (T, basis), status, delta = _solve_exact(_build_farkas_tableau, _farkas_loop, A, b)
+    r = n + 1
+    if status == INFEASIBLE:
+        y = [0] * m
+        for v, value in zip(basis, T[:r, -1].tolist()):
+            if v >= r:
+                y[v - r] = value
+        return False, y
+    # An artificial's reduced cost is 1 - pi_k, scaled by delta.
+    pi = [int(delta) - v for v in T[r, :r].tolist()]
+    return True, (pi[:n], pi[n])
+
+
 def solve_free_le(A, b, nvars: int):
     """Feasibility of ``A x <= b`` over free (sign-unrestricted) variables.
 
@@ -174,17 +310,7 @@ def solve_free_le(A, b, nvars: int):
     m = A.shape[0]
     if m == 0:
         return [0] * nvars, 1
-    status = OVERFLOW
-    if max(int(np.abs(A).max(initial=0)), int(np.abs(b).max(initial=0))) <= _INT64_GUARD:
-        T, basis, rep, partner = _build_tableau(A, b, np.int64)
-        status, delta = _pivot_loop_numpy(T, basis, rep, partner, guarded=True)
-    if status == OVERFLOW:
-        T, basis, rep, partner = _build_tableau(A, b, object)
-        status, delta = _pivot_loop_numpy(T, basis, rep, partner, guarded=False)
-    if status == UNBOUNDED:
-        # Phase 1 minimizes a sum of nonnegative variables; it cannot be
-        # unbounded, so this would be a kernel bug.
-        raise AssertionError("phase-1 simplex reported unbounded")
+    (T, basis, _, _), status, delta = _solve_exact(_build_tableau, _pivot_loop_numpy, A, b)
     if status == INFEASIBLE:
         return None
     num = [0] * nvars

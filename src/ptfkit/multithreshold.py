@@ -296,10 +296,16 @@ def xor_list_to_json(rep: XorList) -> list[str]:
 
 
 def xor_list_from_json(data) -> XorList:
-    """Read the JSON form written by :func:`xor_list_to_json`."""
+    """Read the JSON form written by :func:`xor_list_to_json`.
+
+    Every member gets one common ``n``: the largest variable index over all
+    members.  The bare list does not record ``n``, so a list in which no
+    member weights ``x_n`` reads back with a smaller ``n``.
+    """
     if not isinstance(data, list) or not all(isinstance(member, str) for member in data):
         raise ParseError("XOR-list JSON must be a list of threshold text forms")
+    n = max((parse_ptf_text(member).n for member in data), default=1)
     try:
-        return XorList(tuple(parse_ptf_text(member) for member in data))
+        return XorList(tuple(parse_ptf_text(member, n) for member in data))
     except ValueError as exc:
         raise ParseError(f"invalid XOR-list JSON: {exc}") from exc

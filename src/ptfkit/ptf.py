@@ -134,11 +134,12 @@ def _monomial_matrix(n: int, d: int):
     return tuple(mons), M
 
 
-def realize_at_degree(f: TruthTable, d: int) -> PTF | None:
-    """A PTF of order <= d realizing f exactly, or None if none exists.
+def _realization_lp(f: TruthTable, d: int):
+    """The degree-d realizability LP of f as ``(monomials, A, b)``.
 
-    One LP over the degree-<=d monomial weights and theta; deterministic
-    for a fixed table.
+    One row ``A x <= b`` per input over the monomial weights then theta:
+    ``theta - G(X) <= 0`` at a true input, ``G(X) - theta <= -1`` at a
+    false one.
     """
     if f.n > MAX_LP_VARS:
         raise PreconditionError(f"realizability LP capped at n <= {MAX_LP_VARS}, got {f.n}")
@@ -146,34 +147,57 @@ def realize_at_degree(f: TruthTable, d: int) -> PTF | None:
         raise PreconditionError(f"degree must be in 0..{f.n}, got {d}")
     mons, M = _monomial_matrix(f.n, d)
     nm = len(mons)
-    bits = np.array(f.bits, dtype=np.int64)
-    true_row = bits == 1
+    true_row = np.array(f.bits, dtype=np.int64) == 1
     A = np.empty((f.size, nm + 1), dtype=np.int64)
     A[:, :nm] = np.where(true_row[:, None], -M, M)
     A[:, nm] = np.where(true_row, 1, -1)
     b = np.where(true_row, 0, -1)
-    res = lp.feasible_le_int(A, b, nm + 1)
+    return mons, A, b
+
+
+def _ptf_of(n: int, mons, witness) -> PTF:
+    return PTF(n, dict(zip(mons, witness)), witness[-1])
+
+
+def realize_at_degree(f: TruthTable, d: int) -> PTF | None:
+    """A PTF of order <= d realizing f exactly, or None if none exists.
+
+    One LP over the degree-<=d monomial weights and theta; deterministic
+    for a fixed table.
+    """
+    mons, A, b = _realization_lp(f, d)
+    res = lp.feasible_le_int(A, b, len(mons) + 1)
     if not res.feasible:
         return None
-    witness = res.witness
-    return PTF(f.n, {m: w for m, w in zip(mons, witness)}, witness[nm])
+    return _ptf_of(f.n, mons, res.witness)
+
+
+def _order_lp(f: TruthTable):
+    """The order of f with its realization LP at that degree.
+
+    Decides degree 0, 1, ... by :func:`lp.decide` alone (each with a
+    re-checked proof) up to the first feasible one.
+    """
+    for d in range(f.n + 1):
+        mons, A, b = _realization_lp(f, d)
+        if lp.decide(A, b):
+            return d, mons, A, b
+    raise AssertionError("every function is realizable at degree n")
 
 
 def minimal_realization(f: TruthTable) -> tuple[int, PTF]:
     """The order of f with a realization at that degree.
 
-    Solves one LP per degree 0, 1, ... up to the first feasible one.
+    Decides each degree once; the primal simplex runs only at the order,
+    so the witness is the one :func:`realize_at_degree` returns there.
     """
-    for d in range(f.n + 1):
-        witness = realize_at_degree(f, d)
-        if witness is not None:
-            return d, witness
-    raise AssertionError("every function is realizable at degree n")
+    d, mons, A, b = _order_lp(f)
+    return d, _ptf_of(f.n, mons, lp.witness(A, b, len(mons) + 1))
 
 
 def order(f: TruthTable) -> int:
     """Smallest degree at which f is realizable (0 iff f is constant)."""
-    return minimal_realization(f)[0]
+    return _order_lp(f)[0]
 
 
 def is_threshold(f: TruthTable) -> PTF | None:

@@ -122,3 +122,48 @@ def full_tableau_solve(A, b, nvars: int):
     return True, tuple(
         values.get(j, Fraction(0)) - values.get(nvars + j, Fraction(0)) for j in range(nvars)
     )
+
+
+def farkas_phase1_reference(A, b):
+    """Reference phase 1 of ``y >= 0, A^T y = 0, -b^T y = 1`` over Fractions.
+
+    A dense tableau with one artificial per row, numbered before the ``y``
+    columns.  Bland's rule enters the lowest ``y`` column with a negative
+    reduced cost (artificials never re-enter) and breaks ratio-test ties by
+    the lowest-numbered basic variable; the solve stops once the
+    artificials' sum is 0.  Returns ``(False, y)`` with the ray ``y``
+    (``-b^T y = 1``), or ``(True, x)`` with the point ``x = u / t`` read
+    from the multipliers ``(u, t)``; both as tuples of Fractions.
+    """
+    A = [[Fraction(int(v)) for v in row] for row in A]
+    m, n = len(A), len(A[0])
+    r = n + 1
+    rows = [[Fraction(int(k == i)) for k in range(r)] + [A[j][i] for j in range(m)] + [Fraction(0)]
+            for i in range(n)]
+    rows.append([Fraction(int(k == n)) for k in range(r)] + [-Fraction(int(v)) for v in b] + [Fraction(1)])
+    cost = [Fraction(0)] * r + [-sum(row[j] for row in rows) for j in range(r, r + m + 1)]
+    basis = list(range(r))
+    while cost[-1] != 0:
+        entering = [j for j in range(r, r + m) if cost[j] < 0]
+        if not entering:
+            pi = [1 - cost[k] for k in range(r)]
+            return True, tuple(v / pi[n] for v in pi[:n])
+        q = entering[0]
+        p = min(
+            (i for i in range(r) if rows[i][q] > 0),
+            key=lambda i: (rows[i][-1] / rows[i][q], basis[i]),
+        )
+        piv = rows[p][q]
+        rows[p] = [v / piv for v in rows[p]]
+        for i in range(r):
+            if i != p and rows[i][q] != 0:
+                f = rows[i][q]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[p])]
+        f = cost[q]
+        cost = [v - f * w for v, w in zip(cost, rows[p])]
+        basis[p] = q
+    y = [Fraction(0)] * m
+    for i, v in enumerate(basis):
+        if v >= r:
+            y[v - r] = rows[i][-1]
+    return False, tuple(y)

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from ptfkit import all_vectors, evaluate, parse_table
+from ptfkit import PTF, XorList, all_vectors, evaluate, parse_table
 from ptfkit.cli import run
+from ptfkit.multithreshold import xor_list_to_json
 from ptfkit.ptf import parse_ptf_text
 from ptfkit.ptf import evaluate as eval_ptf
 
@@ -103,6 +104,19 @@ def test_eval_xor_list_json(tmp_path, capsys):
     rep_file.write_text(
         json.dumps(["1: 1\n2: 1\ntheta: 1\n", "1: 1\n2: 1\ntheta: 2\n"])
     )
+    bits = []
+    for at in ("00", "10", "01", "11"):
+        code, out = run_json(["eval", str(rep_file), "--at", at], capsys)
+        assert code == 0
+        bits.append(json.loads(out)["result"]["value"])
+    assert bits == [0, 1, 1, 0]
+
+
+def test_eval_xor_list_members_on_different_variables(tmp_path, capsys):
+    # members x1 >= 1 and x2 >= 1: neither weights both variables
+    rep = XorList((PTF(2, {(1,): 1}, 1), PTF(2, {(2,): 1}, 1)))
+    rep_file = tmp_path / "xorlist.json"
+    rep_file.write_text(json.dumps(xor_list_to_json(rep)))
     bits = []
     for at in ("00", "10", "01", "11"):
         code, out = run_json(["eval", str(rep_file), "--at", at], capsys)

@@ -8,11 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ptfkit import PTF, FeasibilityResult, LinearConstraint, feasible, ptf
+from ptfkit import PTF, FeasibilityResult, LinearConstraint, feasible, lp, ptf
 from ptfkit import _simplex
 from ptfkit.lp import feasible_le_int
 from conftest import all_tables
-from oracles import find_integer_point, full_tableau_solve
+from oracles import farkas_phase1_reference, find_integer_point, full_tableau_solve
 
 
 def c(coeffs, relation, rhs):
@@ -132,20 +132,40 @@ def _realization_system(f, d):
     return mons, A, np.where(true_row, 0, -1)
 
 
+def _farkas_proof(A, b):
+    """The Farkas phase 1's proof, scaled as the reference scales it."""
+    feasible, proof = _simplex.solve_farkas(A, b)
+    if feasible:
+        x, t = proof
+        return True, tuple(Fraction(v, t) for v in x)
+    scale = -sum(int(v) * int(w) for v, w in zip(proof, b))
+    return False, tuple(Fraction(v, scale) for v in proof)
+
+
 def test_witnesses_match_full_tableau_reference_on_random_systems():
-    # the condensed tableau makes the reference's pivots, so every witness is equal
+    # the condensed tableau makes the reference's pivots, so every witness is
+    # equal; the Farkas phase 1 makes its reference's pivots and gives the
+    # primal reference's verdict
     for A, b, nvars in _random_systems(31337, 400):
         res = feasible_le_int(A, b, nvars)
-        assert (res.feasible, res.witness) == full_tableau_solve(A, b, nvars)
+        reference = full_tableau_solve(A, b, nvars)
+        assert (res.feasible, res.witness) == reference
+        assert lp.decide(A, b) == reference[0]
+        assert _farkas_proof(A, b) == farkas_phase1_reference(A, b)
 
 
 def test_witnesses_match_full_tableau_reference_on_every_n3_table():
     for f in all_tables(3):
+        verdicts = []
         for d in range(4):
             mons, A, b = _realization_system(f, d)
             ok, w = full_tableau_solve(A, b, A.shape[1])
             expected = PTF(3, dict(zip(mons, w)), w[-1]) if ok else None
             assert ptf.realize_at_degree(f, d) == expected
+            assert lp.decide(A, b) == ok
+            assert _farkas_proof(A, b) == farkas_phase1_reference(A, b)
+            verdicts.append(ok)
+        assert ptf.order(f) == verdicts.index(True)
 
 
 def test_overflow_mid_solve_restarts_on_object_dtype(monkeypatch):
@@ -173,6 +193,61 @@ def test_overflow_mid_solve_restarts_on_object_dtype(monkeypatch):
     assert (after.feasible, after.witness) == full_tableau_solve(A, b, nvars)
 
 
+@pytest.mark.parametrize(
+    "A, b",
+    [
+        ([[1, 2, 6], [1, 1, 2], [3, -3, -4], [6, 2, 1], [4, 3, 6], [-4, -5, 1]],
+         [-3, -5, -6, 1, 5, 7]),
+        ([[1, 2], [-3, 1], [2, -5], [-1, 3], [1, 1]], [-4, -5, -6, -3, 2]),
+    ],
+    ids=["feasible", "infeasible"],
+)
+def test_farkas_overflow_mid_solve_restarts_on_object_dtype(A, b, monkeypatch):
+    A, b = np.array(A), np.array(b)
+    before = lp.decide(A, b)
+    seen = []
+    loop = _simplex._farkas_loop
+
+    def spy(T, *args, **kwargs):
+        start = T.copy()
+        status, delta = loop(T, *args, **kwargs)
+        seen.append((T.dtype, status, not np.array_equal(T, start)))
+        return status, delta
+
+    # a guard the initial tableau meets but later pivots pass
+    T0 = _simplex._build_farkas_tableau(A, b, np.int64)[0]
+    monkeypatch.setattr(_simplex, "_INT64_GUARD", int(np.abs(T0).max()))
+    monkeypatch.setattr(_simplex, "_farkas_loop", spy)
+    after = lp.decide(A, b)
+    status = _simplex.FEASIBLE if before else _simplex.INFEASIBLE
+    assert seen == [(np.int64, _simplex.OVERFLOW, True), (object, status, True)]
+    assert after == before == full_tableau_solve(A, b, A.shape[1])[0]
+
+
+# 0 <= x <= 1 is feasible; x <= 1 with x >= 2 is not (ray y = (1, 1))
+_INTERVAL = (np.array([[1], [-1]]), np.array([1, 0]))
+_GAP = (np.array([[1], [-1]]), np.array([1, -2]))
+
+
+@pytest.mark.parametrize(
+    "system, forged",
+    [
+        (_INTERVAL, {"solve_farkas": lambda A, b: (False, [1, 1])}),
+        (_GAP, {"solve_farkas": lambda A, b: (True, ([2], 1))}),
+        (_GAP, {"solve_farkas": lambda A, b: (True, ([0], 0))}),
+        (_INTERVAL, {"solve_free_le": lambda A, b, nvars: None}),
+    ],
+    ids=["forged-ray", "forged-multipliers", "zero-multiplier-t", "primal-dual-disagree"],
+)
+def test_bad_proofs_raise(system, forged, monkeypatch):
+    A, b = system
+    assert feasible_le_int(A, b, 1).feasible == (system is _INTERVAL)
+    for name, fake in forged.items():
+        monkeypatch.setattr(_simplex, name, fake)
+    with pytest.raises(AssertionError):
+        feasible_le_int(A, b, 1)
+
+
 def test_overflow_falls_back_to_exact_path():
     # coefficients near 2**40 exceed the int64 pivot guard up front
     big = 1 << 40
@@ -183,6 +258,11 @@ def test_overflow_falls_back_to_exact_path():
     assert big * x + y <= big + 7
     res = feasible([c([big], ">=", 1), c([big], "<=", 0)], 1)
     assert not res.feasible
+
+
+def test_systems_without_variables_compare_the_right_hand_side():
+    assert feasible([c([], "<=", 1)], 0) == FeasibilityResult(True, ())
+    assert feasible([c([], "<=", 1), c([], ">=", 2)], 0) == FeasibilityResult(False, None)
 
 
 def test_validates_coefficient_count():

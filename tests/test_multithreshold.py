@@ -29,6 +29,7 @@ from ptfkit import (
 from ptfkit.multithreshold import (
     shared_weight_from_json,
     shared_weight_to_json,
+    xor_list_from_json,
     xor_list_to_json,
 )
 from ptfkit.ptf import weighted_sum
@@ -200,3 +201,8 @@ def test_shared_weight_json_round_trip():
 def test_xor_list_json_is_ptf_text():
     data = xor_list_to_json(XorList((OR2_PTF,)))
     assert data == ["1: 1\n2: 1\ntheta: 1\n"]
+
+
+def test_xor_list_json_round_trip_with_members_on_different_variables():
+    rep = XorList((PTF(2, {(1,): 1}, 1), PTF(2, {(2,): 1}, 1)))
+    assert xor_list_from_json(xor_list_to_json(rep)) == rep
