@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -155,7 +156,7 @@ def cmd_eval(args) -> dict:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON in {args.file}: {exc}") from exc
-        if isinstance(data, list):
+        if isinstance(data, list) or (isinstance(data, dict) and "members" in data):
             rep = multithreshold.xor_list_from_json(data)
             X = _parse_vector(args.at, rep.n)
             value = multithreshold.eval_xor_list(rep.members, X)
@@ -272,11 +273,19 @@ def run(argv: list[str]) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        report["elapsed_ms"] = int((time.perf_counter() - started) * 1000)
-        _print_human(report)
+    try:
+        if args.json:
+            print(json.dumps(report, indent=2))
+        else:
+            report["elapsed_ms"] = int((time.perf_counter() - started) * 1000)
+            _print_human(report)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head -1``).  Point stdout at
+        # devnull so the interpreter's flush at exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

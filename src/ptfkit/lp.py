@@ -8,16 +8,14 @@ inequalities never reach this module; callers rescale them into closed
 constraints first.
 
 Arithmetic is exact throughout: rational inputs are cleared to integers
-row by row, and the simplex in :mod:`ptfkit._simplex` pivots on an integer
-tableau.  Every system is first decided by :func:`decide`, the phase 1 of
-its Farkas alternative, which returns a proof either way: a Farkas ray
-when the system is infeasible, phase-1 multipliers when it is feasible.
-The proof is re-checked in integer arithmetic.  Only a feasible system
-then runs the primal simplex, whose integer witness numerators over one
-common denominator are re-substituted into every (cleared) constraint the
-same way.  A proof or witness that fails its check, or a primal that
-disagrees with the Farkas verdict, would be a kernel bug and raises
-AssertionError immediately.
+row by row, and :func:`ptfkit._simplex.solve_free_le`, the phase 1 of the
+system's Farkas alternative, pivots on an integer tableau.  It returns a
+proof either way, and the proof is re-checked in integer arithmetic before
+any answer leaves this module: a Farkas ray when the system is
+infeasible, phase-1 multipliers ``(x, t)`` with ``t > 0`` and
+``A x <= t b`` when it is feasible.  The witness is ``x / t``.  A proof
+that fails its check would be a kernel bug and raises AssertionError
+immediately.
 """
 
 from __future__ import annotations
@@ -81,59 +79,51 @@ def feasible(constraints: Sequence[LinearConstraint], nvars: int) -> Feasibility
         sign = -1 if c.relation == GE else 1
         rows.append([sign * int(v * scale) for v in c.coeffs])
         rhs.append(sign * int(c.rhs * scale))
-    return feasible_le_int(np.array(rows, dtype=object), np.array(rhs, dtype=object), nvars)
+    return feasible_le_int(np.array(rows, dtype=object), np.array(rhs, dtype=object))
 
 
-def feasible_le_int(A, b, nvars: int) -> FeasibilityResult:
+def feasible_le_int(A, b) -> FeasibilityResult:
     """Feasibility of integer ``A x <= b`` rows over free variables.
 
     Fast entry point for callers that already hold an integer system (all
-    realizability encodings do).  Same contract as :func:`feasible`:
-    :func:`decide` answers, and a feasible system gets the primal witness
-    from :func:`witness`.
+    realizability encodings do); the witness has one entry per column of
+    ``A``.  Same contract as :func:`feasible`.
     """
-    A = np.asarray(A)
-    b = np.asarray(b)
-    if not decide(A, b):
+    proof = _checked_solve(np.asarray(A), np.asarray(b))
+    if proof is None:
         return FeasibilityResult(False, None)
-    return FeasibilityResult(True, witness(A, b, nvars))
+    x, t = proof
+    return FeasibilityResult(True, tuple(Fraction(v, t) for v in x))
 
 
 def decide(A, b) -> bool:
     """Whether integer ``A x <= b`` has a solution, proved either way.
 
-    Runs the Farkas phase 1 (:func:`ptfkit._simplex.solve_farkas`) and
-    re-checks its proof in integers: for "no", a ray ``y >= 0`` with
-    ``A^T y = 0`` and ``b^T y < 0``; for "yes", multipliers ``(x, t)``
-    with ``t > 0`` and ``A x <= t b``.  A system with no rows is feasible.
+    Same solve and proof check as :func:`feasible_le_int`, without building
+    the witness.
     """
-    A = np.asarray(A)
-    b = np.asarray(b)
+    return _checked_solve(np.asarray(A), np.asarray(b)) is not None
+
+
+def _checked_solve(A, b) -> tuple[list[int], int] | None:
+    """Solve ``A x <= b`` by the Farkas phase 1 and re-check its proof.
+
+    Returns the multipliers ``(x, t)`` with ``t > 0`` and ``A x <= t b``,
+    or None for an infeasible system once its ray ``y >= 0`` with
+    ``A^T y = 0`` and ``b^T y < 0`` has passed the check.  A system with no
+    rows is feasible with ``x = 0``.
+    """
     if A.shape[0] == 0:
-        return True
-    feasible, proof = _simplex.solve_farkas(A, b)
+        return [0] * A.shape[1], 1
+    feasible, proof = _simplex.solve_free_le(A, b)
     if feasible:
         x, t = proof
         if not (t > 0 and _holds(A, b, x, t)):
             raise AssertionError("Farkas phase 1 produced multipliers violating a constraint")
-    elif not _is_farkas_ray(A, b, proof):
+        return proof
+    if not _is_farkas_ray(A, b, proof):
         raise AssertionError("Farkas phase 1 produced an invalid infeasibility ray")
-    return feasible
-
-
-def witness(A, b, nvars: int) -> tuple[Fraction, ...]:
-    """The primal simplex witness of integer ``A x <= b``, which must be feasible.
-
-    Call it only on a system :func:`decide` found feasible: a primal that
-    finds it infeasible disagrees with the Farkas proof and raises.
-    """
-    solved = _simplex.solve_free_le(A, b, nvars)
-    if solved is None:
-        raise AssertionError("primal simplex and Farkas phase 1 disagree on feasibility")
-    num, den = solved
-    if not _holds(A, b, num, den):
-        raise AssertionError("simplex produced a witness violating a constraint")
-    return tuple(Fraction(v, den) for v in num)
+    return None
 
 
 def _dtype_for(bound: int):

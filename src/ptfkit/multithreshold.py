@@ -291,20 +291,28 @@ def shared_weight_from_json(data) -> SharedWeight:
         raise ParseError(f"invalid shared-weight JSON: {exc}") from exc
 
 
-def xor_list_to_json(rep: XorList) -> list[str]:
-    return [format_ptf_text(p) for p in rep.members]
+def xor_list_to_json(rep: XorList) -> dict:
+    """JSON form: ``{"n": n, "members": [...]}`` with each member's text form."""
+    return {"n": rep.n, "members": [format_ptf_text(p) for p in rep.members]}
 
 
 def xor_list_from_json(data) -> XorList:
     """Read the JSON form written by :func:`xor_list_to_json`.
 
-    Every member gets one common ``n``: the largest variable index over all
-    members.  The bare list does not record ``n``, so a list in which no
-    member weights ``x_n`` reads back with a smaller ``n``.
+    A bare list of member text forms is read too.  It records no ``n``, so
+    every member gets the largest variable index over all members, and a
+    list in which no member weights ``x_n`` reads back with a smaller ``n``.
     """
+    n = None
+    if isinstance(data, dict):
+        n = data.get("n")
+        if type(n) is not int:
+            raise ParseError(f'XOR-list JSON "n" must be an integer, got {n!r}')
+        data = data.get("members")
     if not isinstance(data, list) or not all(isinstance(member, str) for member in data):
-        raise ParseError("XOR-list JSON must be a list of threshold text forms")
-    n = max((parse_ptf_text(member).n for member in data), default=1)
+        raise ParseError("XOR-list JSON members must be a list of threshold text forms")
+    if n is None:
+        n = max((parse_ptf_text(member).n for member in data), default=1)
     try:
         return XorList(tuple(parse_ptf_text(member, n) for member in data))
     except ValueError as exc:

@@ -166,38 +166,32 @@ def realize_at_degree(f: TruthTable, d: int) -> PTF | None:
     for a fixed table.
     """
     mons, A, b = _realization_lp(f, d)
-    res = lp.feasible_le_int(A, b, len(mons) + 1)
+    res = lp.feasible_le_int(A, b)
     if not res.feasible:
         return None
     return _ptf_of(f.n, mons, res.witness)
 
 
-def _order_lp(f: TruthTable):
-    """The order of f with its realization LP at that degree.
-
-    Decides degree 0, 1, ... by :func:`lp.decide` alone (each with a
-    re-checked proof) up to the first feasible one.
-    """
+def minimal_realization(f: TruthTable) -> tuple[int, PTF]:
+    """The order of f with the realization :func:`realize_at_degree` gives there."""
     for d in range(f.n + 1):
-        mons, A, b = _realization_lp(f, d)
-        if lp.decide(A, b):
-            return d, mons, A, b
+        p = realize_at_degree(f, d)
+        if p is not None:
+            return d, p
     raise AssertionError("every function is realizable at degree n")
 
 
-def minimal_realization(f: TruthTable) -> tuple[int, PTF]:
-    """The order of f with a realization at that degree.
-
-    Decides each degree once; the primal simplex runs only at the order,
-    so the witness is the one :func:`realize_at_degree` returns there.
-    """
-    d, mons, A, b = _order_lp(f)
-    return d, _ptf_of(f.n, mons, lp.witness(A, b, len(mons) + 1))
-
-
 def order(f: TruthTable) -> int:
-    """Smallest degree at which f is realizable (0 iff f is constant)."""
-    return _order_lp(f)[0]
+    """Smallest degree at which f is realizable (0 iff f is constant).
+
+    Decides degree 0, 1, ... by :func:`lp.decide`, each with a re-checked
+    proof, without building a witness.
+    """
+    for d in range(f.n + 1):
+        _, A, b = _realization_lp(f, d)
+        if lp.decide(A, b):
+            return d
+    raise AssertionError("every function is realizable at degree n")
 
 
 def is_threshold(f: TruthTable) -> PTF | None:
@@ -289,7 +283,7 @@ def share_weights(
                 row[theta_col] = -1
                 rhs.append(-1)
             rows.append(row)
-    res = lp.feasible_le_int(np.array(rows), np.array(rhs), n + 2)
+    res = lp.feasible_le_int(np.array(rows), np.array(rhs))
     if not res.feasible:
         return None
     w = res.witness

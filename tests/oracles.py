@@ -73,6 +73,10 @@ def full_tableau_solve(A, b, nvars: int):
     rule enters the lowest column with a negative reduced cost and breaks
     ratio-test ties by the lowest basic column.  Returns ``(feasible,
     witness)`` with the witness as a tuple of Fractions.
+
+    The library solves only the Farkas alternative, so this primal is the
+    independent verdict reference; witnesses are compared against
+    :func:`farkas_phase1_reference`, whose pivots the library makes.
     """
     A = [[int(v) for v in row] for row in A]
     b = [int(v) for v in b]

@@ -125,6 +125,17 @@ def test_eval_xor_list_members_on_different_variables(tmp_path, capsys):
     assert bits == [0, 1, 1, 0]
 
 
+def test_eval_xor_list_keeps_its_variable_count(tmp_path, capsys):
+    # n = 3 although no member weights x3: vectors have three bits
+    rep = XorList((PTF(3, {(1,): 1}, 1), PTF(3, {(2,): 1}, 1)))
+    rep_file = tmp_path / "xorlist.json"
+    rep_file.write_text(json.dumps(xor_list_to_json(rep)))
+    code, out = run_json(["eval", str(rep_file), "--at", "101"], capsys)
+    assert code == 0
+    assert json.loads(out)["result"] == {"kind": "xor_list", "at": [1, 0, 1], "value": 1}
+    assert run(["eval", str(rep_file), "--at", "10"]) == 1
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -280,3 +291,20 @@ def test_module_entry_point(subprocess_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"]["order"] == 2
+
+
+def test_closed_stdout_exits_without_traceback(subprocess_env):
+    # as in ``ptfkit --json analyze 0110 | head -1`` when the reader exits first
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ptfkit.cli", "--json", "analyze", "0110"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        cwd=TESTS_DIR,
+        env=subprocess_env(),
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in stderr
+    assert stderr == ""

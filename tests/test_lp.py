@@ -121,7 +121,7 @@ def _random_systems(seed: int, count: int):
             [rng.randint(-bound, bound) for _ in range(nvars)] for _ in range(rng.randint(1, 10))
         ]
         rhs = [rng.randint(-7, 7) for _ in rows]
-        yield np.array(rows, dtype=object), np.array(rhs, dtype=object), nvars
+        yield np.array(rows, dtype=object), np.array(rhs, dtype=object)
 
 
 def _realization_system(f, d):
@@ -134,7 +134,7 @@ def _realization_system(f, d):
 
 def _farkas_proof(A, b):
     """The Farkas phase 1's proof, scaled as the reference scales it."""
-    feasible, proof = _simplex.solve_farkas(A, b)
+    feasible, proof = _simplex.solve_free_le(A, b)
     if feasible:
         x, t = proof
         return True, tuple(Fraction(v, t) for v in x)
@@ -142,15 +142,20 @@ def _farkas_proof(A, b):
     return False, tuple(Fraction(v, scale) for v in proof)
 
 
+def _reference_result(A, b) -> FeasibilityResult:
+    """The result the Farkas reference proves, checked against the primal's verdict."""
+    feasible, proof = farkas_phase1_reference(A, b)
+    assert feasible == full_tableau_solve(A, b, A.shape[1])[0]
+    return FeasibilityResult(feasible, proof if feasible else None)
+
+
 def test_witnesses_match_full_tableau_reference_on_random_systems():
-    # the condensed tableau makes the reference's pivots, so every witness is
-    # equal; the Farkas phase 1 makes its reference's pivots and gives the
-    # primal reference's verdict
-    for A, b, nvars in _random_systems(31337, 400):
-        res = feasible_le_int(A, b, nvars)
-        reference = full_tableau_solve(A, b, nvars)
-        assert (res.feasible, res.witness) == reference
-        assert lp.decide(A, b) == reference[0]
+    # the Farkas phase 1 makes its reference's pivots, so every proof and
+    # witness is equal, and its verdict is the independent primal's
+    for A, b in _random_systems(31337, 400):
+        expected = _reference_result(A, b)
+        assert feasible_le_int(A, b) == expected
+        assert lp.decide(A, b) == expected.feasible
         assert _farkas_proof(A, b) == farkas_phase1_reference(A, b)
 
 
@@ -159,38 +164,16 @@ def test_witnesses_match_full_tableau_reference_on_every_n3_table():
         verdicts = []
         for d in range(4):
             mons, A, b = _realization_system(f, d)
-            ok, w = full_tableau_solve(A, b, A.shape[1])
-            expected = PTF(3, dict(zip(mons, w)), w[-1]) if ok else None
+            ref = _reference_result(A, b)
+            w = ref.witness
+            expected = PTF(3, dict(zip(mons, w)), w[-1]) if ref.feasible else None
             assert ptf.realize_at_degree(f, d) == expected
-            assert lp.decide(A, b) == ok
+            assert lp.decide(A, b) == ref.feasible
             assert _farkas_proof(A, b) == farkas_phase1_reference(A, b)
-            verdicts.append(ok)
-        assert ptf.order(f) == verdicts.index(True)
-
-
-def test_overflow_mid_solve_restarts_on_object_dtype(monkeypatch):
-    A = np.array([[1, 2, 6], [1, 1, 2], [3, -3, -4], [6, 2, 1], [4, 3, 6], [-4, -5, 1]])
-    b = np.array([-3, -5, -6, 1, 5, 7])
-    nvars = 3
-    before = feasible_le_int(A, b, nvars)
-    seen = []
-    loop = _simplex._pivot_loop_numpy
-
-    def spy(T, *args, **kwargs):
-        start = T.copy()
-        status, delta = loop(T, *args, **kwargs)
-        seen.append((T.dtype, status, not np.array_equal(T, start)))
-        return status, delta
-
-    # a guard the initial tableau meets but later pivots pass
-    T0 = _simplex._build_tableau(A, b, np.int64)[0]
-    monkeypatch.setattr(_simplex, "_INT64_GUARD", int(np.abs(T0).max()))
-    monkeypatch.setattr(_simplex, "_pivot_loop_numpy", spy)
-    after = feasible_le_int(A, b, nvars)
-    assert seen == [(np.int64, _simplex.OVERFLOW, True), (object, _simplex.FEASIBLE, True)]
-    assert after == before
-    assert after.witness == (Fraction(-195, 64), Fraction(49, 64), Fraction(-87, 64))
-    assert (after.feasible, after.witness) == full_tableau_solve(A, b, nvars)
+            verdicts.append(expected)
+        r = ptf.order(f)
+        assert r == next(d for d, p in enumerate(verdicts) if p is not None)
+        assert ptf.minimal_realization(f) == (r, verdicts[r])
 
 
 @pytest.mark.parametrize(
@@ -204,9 +187,9 @@ def test_overflow_mid_solve_restarts_on_object_dtype(monkeypatch):
 )
 def test_farkas_overflow_mid_solve_restarts_on_object_dtype(A, b, monkeypatch):
     A, b = np.array(A), np.array(b)
-    before = lp.decide(A, b)
+    before = feasible_le_int(A, b)
     seen = []
-    loop = _simplex._farkas_loop
+    loop = _simplex._pivot_loop_numpy
 
     def spy(T, *args, **kwargs):
         start = T.copy()
@@ -215,13 +198,13 @@ def test_farkas_overflow_mid_solve_restarts_on_object_dtype(A, b, monkeypatch):
         return status, delta
 
     # a guard the initial tableau meets but later pivots pass
-    T0 = _simplex._build_farkas_tableau(A, b, np.int64)[0]
+    T0 = _simplex._build_tableau(A, b, np.int64)[0]
     monkeypatch.setattr(_simplex, "_INT64_GUARD", int(np.abs(T0).max()))
-    monkeypatch.setattr(_simplex, "_farkas_loop", spy)
-    after = lp.decide(A, b)
-    status = _simplex.FEASIBLE if before else _simplex.INFEASIBLE
+    monkeypatch.setattr(_simplex, "_pivot_loop_numpy", spy)
+    after = feasible_le_int(A, b)
+    status = _simplex.FEASIBLE if before.feasible else _simplex.INFEASIBLE
     assert seen == [(np.int64, _simplex.OVERFLOW, True), (object, status, True)]
-    assert after == before == full_tableau_solve(A, b, A.shape[1])[0]
+    assert after == before == _reference_result(A, b)
 
 
 # 0 <= x <= 1 is feasible; x <= 1 with x >= 2 is not (ray y = (1, 1))
@@ -232,20 +215,19 @@ _GAP = (np.array([[1], [-1]]), np.array([1, -2]))
 @pytest.mark.parametrize(
     "system, forged",
     [
-        (_INTERVAL, {"solve_farkas": lambda A, b: (False, [1, 1])}),
-        (_GAP, {"solve_farkas": lambda A, b: (True, ([2], 1))}),
-        (_GAP, {"solve_farkas": lambda A, b: (True, ([0], 0))}),
-        (_INTERVAL, {"solve_free_le": lambda A, b, nvars: None}),
+        (_INTERVAL, {"solve_free_le": lambda A, b: (False, [1, 1])}),
+        (_GAP, {"solve_free_le": lambda A, b: (True, ([2], 1))}),
+        (_GAP, {"solve_free_le": lambda A, b: (True, ([0], 0))}),
     ],
-    ids=["forged-ray", "forged-multipliers", "zero-multiplier-t", "primal-dual-disagree"],
+    ids=["forged-ray", "forged-multipliers", "zero-multiplier-t"],
 )
 def test_bad_proofs_raise(system, forged, monkeypatch):
     A, b = system
-    assert feasible_le_int(A, b, 1).feasible == (system is _INTERVAL)
+    assert feasible_le_int(A, b).feasible == (system is _INTERVAL)
     for name, fake in forged.items():
         monkeypatch.setattr(_simplex, name, fake)
     with pytest.raises(AssertionError):
-        feasible_le_int(A, b, 1)
+        feasible_le_int(A, b)
 
 
 def test_overflow_falls_back_to_exact_path():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from ptfkit import (
     PTF,
     DimensionMismatch,
+    ParseError,
     PreconditionError,
     SharedWeight,
     TruthTable,
@@ -200,9 +202,36 @@ def test_shared_weight_json_round_trip():
 
 def test_xor_list_json_is_ptf_text():
     data = xor_list_to_json(XorList((OR2_PTF,)))
-    assert data == ["1: 1\n2: 1\ntheta: 1\n"]
+    assert data == {"n": 2, "members": ["1: 1\n2: 1\ntheta: 1\n"]}
 
 
 def test_xor_list_json_round_trip_with_members_on_different_variables():
     rep = XorList((PTF(2, {(1,): 1}, 1), PTF(2, {(2,): 1}, 1)))
     assert xor_list_from_json(xor_list_to_json(rep)) == rep
+
+
+def test_xor_list_json_keeps_n_above_every_member_index():
+    rep = XorList((PTF(3, {(1,): 1}, 1), PTF(3, {(2,): 1}, 1)))
+    data = json.loads(json.dumps(xor_list_to_json(rep)))
+    assert xor_list_from_json(data) == rep
+    # the bare list records no n, so it reads back over x1, x2 only
+    assert xor_list_from_json(data["members"]).n == 2
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"members": ["1: 1\ntheta: 1\n"]},
+        {"n": "3", "members": ["1: 1\ntheta: 1\n"]},
+        {"n": True, "members": ["1: 1\ntheta: 1\n"]},
+        {"n": 0, "members": ["1: 1\ntheta: 1\n"]},
+        {"n": 1, "members": ["2: 1\ntheta: 1\n"]},
+        {"n": 2, "members": "1: 1\ntheta: 1\n"},
+        {"n": 2, "members": []},
+    ],
+    ids=["missing-n", "string-n", "bool-n", "zero-n", "n-below-index", "members-not-list",
+         "no-members"],
+)
+def test_xor_list_json_rejects_malformed_dicts(data):
+    with pytest.raises(ParseError):
+        xor_list_from_json(data)

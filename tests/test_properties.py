@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptfkit import TruthTable, format_table, parse_table
+from ptfkit import PTF, TruthTable, XorList, cli, format_table, parse_table
 from ptfkit.lp import decide, feasible_le_int
-from oracles import full_tableau_solve
+from ptfkit.multithreshold import xor_list_from_json, xor_list_to_json
+from ptfkit.ptf import format_ptf_text, monomials_up_to, parse_ptf_text
+from oracles import farkas_phase1_reference, full_tableau_solve
 
 DERANDOMIZED = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -28,9 +34,10 @@ def small_systems(draw):
 @given(small_systems())
 def test_decide_primal_and_reference_agree(system):
     A, b, nvars = system
-    res = feasible_le_int(A, b, nvars)
-    assert decide(A, b) == res.feasible
-    assert (res.feasible, res.witness) == full_tableau_solve(A, b, nvars)
+    res = feasible_le_int(A, b)
+    ok, witness = farkas_phase1_reference(A, b)
+    assert decide(A, b) == res.feasible == ok == full_tableau_solve(A, b, nvars)[0]
+    assert res.witness == (witness if ok else None)
 
 
 @DERANDOMIZED
@@ -41,3 +48,77 @@ def test_table_text_round_trip(style, data):
     bits = data.draw(st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n))
     f = TruthTable(n, tuple(bits))
     assert parse_table(format_table(f, style)) == f
+
+
+@st.composite
+def ptfs(draw, n=None, max_order=None):
+    """A PTF over at most 5 variables with small rational weights and threshold."""
+    n = draw(st.integers(1, 5)) if n is None else n
+    coeff = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+    mons = monomials_up_to(n, n if max_order is None else max_order)
+    weights = draw(st.dictionaries(st.sampled_from(mons), coeff, max_size=6))
+    return PTF(n, weights, draw(coeff))
+
+
+@st.composite
+def xor_lists(draw):
+    n = draw(st.integers(1, 5))
+    return XorList(tuple(draw(st.lists(ptfs(n, max_order=1), min_size=1, max_size=4))))
+
+
+@DERANDOMIZED
+@given(ptfs())
+def test_ptf_text_round_trip(p):
+    assert parse_ptf_text(format_ptf_text(p), p.n) == p
+
+
+@DERANDOMIZED
+@given(xor_lists())
+def test_xor_list_json_round_trip(rep):
+    assert xor_list_from_json(json.loads(json.dumps(xor_list_to_json(rep)))) == rep
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.text("0123456789+:/- \nthea", max_size=12),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "members", "weights", "thresholds", "x"]), inner, max_size=4),
+    max_leaves=12,
+)
+
+_MALFORMED_FILES = st.one_of(
+    st.text(),
+    st.text("0123456789+:/-. \nthea#{}[]\",", max_size=40),
+    _JSON_VALUES.map(json.dumps),
+)
+_VECTORS = st.text("01x ", max_size=7)
+
+
+@st.composite
+def eval_requests(draw):
+    """File text and ``--at`` for ``eval``; a well-formed file mostly gets a vector of its size.
+
+    Returns ``(text, at, ok)`` with ``ok`` set when the request must succeed.
+    """
+    rep = draw(st.none() | ptfs() | xor_lists())
+    if rep is None:
+        return draw(_MALFORMED_FILES), draw(_VECTORS), False
+    if isinstance(rep, XorList):
+        text, n = json.dumps(xor_list_to_json(rep)), rep.n
+    else:
+        # the text form records no n: eval reads it as the largest index
+        text, n = format_ptf_text(rep), max((m[-1] for m in rep.coeffs), default=1)
+    at = draw(st.text("01", min_size=n, max_size=n) | _VECTORS)
+    return text, at, len(at) == n and set(at) <= {"0", "1"}
+
+
+@DERANDOMIZED
+@given(eval_requests())
+def test_cli_eval_exit_codes_on_arbitrary_files(tmp_path_factory, req):
+    text, at, ok = req
+    path = tmp_path_factory.getbasetemp() / "eval-input.txt"
+    path.write_text(text, encoding="utf-8")
+    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+        code = cli.run(["eval", str(path), f"--at={at}"])
+    assert code in (0, 1, 2)
+    if ok:
+        assert code == 0
