@@ -13,10 +13,15 @@ the ``y`` columns, and the right-hand side.  A realizability LP over
 monomials) + 1 unknowns, so this tableau stays small.
 
 The artificials are numbered before the ``y`` columns and kept in the
-tableau.  Bland's rule enters the lowest-numbered ``y`` with a negative
-reduced cost (an artificial that left never re-enters), and the ratio test
+tableau; only ``y`` columns enter, so an artificial that left never
+re-enters.  Dantzig's rule (Dantzig 1963) enters the ``y`` column with the
+most negative reduced cost, lowest index on ties, and the ratio test
 breaks ties by the lowest-numbered basic variable, so artificials leave
-first.
+first.  Both choices depend only on the set of basic variables, so a basis
+seen twice in one solve proves a cycle.  The loop keeps that set as an int
+bitmask and switches to Bland's rule (Bland 1977: the lowest-numbered
+``y`` with a negative reduced cost) at the first repeat; Bland's rule
+terminates from any basis.
 
 The solve ends with a proof either way:
 
@@ -37,15 +42,18 @@ one-step fraction-free pivot (Bareiss 1968)
     T'[i][j] = (T[p][q] * T[i][j] - T[i][q] * T[p][j]) // delta
 
 keeps every entry an exact integer (the division is exact), so sign tests,
-Bland's rule and the ratio test are exact integer comparisons and the
+both pricing rules and the ratio test are exact integer comparisons (with
+``delta > 0`` the scaled reduced costs order as the true ones) and the
 answer carries no rounding error.
 
-The pivot loop first runs on an int64 tableau and bails out with an
-OVERFLOW status whenever an entry passes ``_INT64_GUARD`` = 2**30.  With
-entries at most 2**30, every product in a pivot is at most 2**60 and every
-numerator at most 2**61 in absolute value.  On OVERFLOW the solve restarts
-on an object-dtype tableau of Python ints, which cannot overflow and makes
-the same pivots.
+The pivot loop runs on an int64 tableau and bails out with an OVERFLOW
+status whenever an entry passes ``_INT64_GUARD`` = 2**30.  With entries at
+most 2**30, every product in a pivot is at most 2**60 and every numerator
+at most 2**61 in absolute value.  Dantzig's rule reaches bases with larger
+minors than Bland's, so the solve climbs a ladder of restarts (``_RUNGS``):
+int64 under Dantzig, then int64 under Bland, then an object-dtype tableau
+of Python ints under Bland, which cannot overflow.  A system whose entries
+already pass the guard starts on the last rung.
 """
 
 from __future__ import annotations
@@ -59,6 +67,9 @@ UNBOUNDED = 3
 
 # Entries above this make the next pivot's intermediates unsafe for int64.
 _INT64_GUARD = 1 << 30
+
+# (dtype, Dantzig pricing) of each restart after an OVERFLOW.
+_RUNGS = ((np.int64, True), (np.int64, False), (object, False))
 
 
 def _build_tableau(A, b, dtype):
@@ -99,27 +110,38 @@ def _leaving_row(col, rhs, basis) -> int:
     return p
 
 
-def _pivot_loop_numpy(T, basis, guarded: bool):
+def _pivot_loop_numpy(T, basis, dantzig: bool):
     """Pivot a phase-1 tableau (int64 or object dtype) to a proof.
 
-    ``T`` and ``basis`` are updated in place.  Returns ``(status, delta)``
-    with status INFEASIBLE when the artificials' sum reached 0 (the basic
-    ``y`` form a ray), FEASIBLE when no ``y`` column prices out, OVERFLOW
-    or UNBOUNDED.
+    ``T`` and ``basis`` are updated in place.  Prices by Dantzig's rule
+    until a basis repeats when ``dantzig`` is set, else by Bland's rule.
+    Only an int64 tableau is guarded.  Returns ``(status, delta)`` with
+    status INFEASIBLE when the artificials' sum reached 0 (the basic ``y``
+    form a ray), FEASIBLE when no ``y`` column prices out, OVERFLOW or
+    UNBOUNDED.
     """
     r = T.shape[0] - 1
     last = T.shape[1] - 1
-    delta = T.dtype.type(1) if T.dtype != object else 1
+    guarded = T.dtype != object
+    delta = T.dtype.type(1) if guarded else 1
+    mask = sum(1 << v for v in basis)
+    seen = {mask}
     while True:
         if guarded and (T.max() > _INT64_GUARD or T.min() < -_INT64_GUARD):
             return OVERFLOW, delta
         if T[r, last] == 0:
             return INFEASIBLE, delta
-        # Bland over the y columns only: artificials never re-enter.
-        costs = T[r, r:last] < 0
-        q = int(costs.argmax())
-        if not costs[q]:
-            return FEASIBLE, delta
+        # Price the y columns only: artificials never re-enter.
+        costs = T[r, r:last]
+        if dantzig:
+            q = int(costs.argmin())
+            if costs[q] >= 0:
+                return FEASIBLE, delta
+        else:
+            negative = costs < 0
+            q = int(negative.argmax())
+            if not negative[q]:
+                return FEASIBLE, delta
         q += r
         p = _leaving_row(T[:r, q].tolist(), T[:r, last].tolist(), basis)
         if p < 0:
@@ -132,6 +154,11 @@ def _pivot_loop_numpy(T, basis, guarded: bool):
         T //= delta
         T[p] = row_p
         delta = piv
+        if dantzig:
+            mask ^= (1 << basis[p]) | (1 << q)
+            if mask in seen:
+                dantzig = False
+            seen.add(mask)
         basis[p] = q
 
 
@@ -146,13 +173,13 @@ def solve_free_le(A, b):
     A = np.asarray(A)
     b = np.asarray(b)
     m, n = A.shape
-    status = OVERFLOW
-    if max(int(np.abs(A).max(initial=0)), int(np.abs(b).max(initial=0))) <= _INT64_GUARD:
-        T, basis = _build_tableau(A, b, np.int64)
-        status, delta = _pivot_loop_numpy(T, basis, guarded=True)
-    if status == OVERFLOW:
-        T, basis = _build_tableau(A, b, object)
-        status, delta = _pivot_loop_numpy(T, basis, guarded=False)
+    fits = max(int(np.abs(A).max(initial=0)), int(np.abs(b).max(initial=0))) <= _INT64_GUARD
+    for dtype, dantzig in _RUNGS:
+        if dtype is object or fits:
+            T, basis = _build_tableau(A, b, dtype)
+            status, delta = _pivot_loop_numpy(T, basis, dantzig)
+            if status != OVERFLOW:
+                break
     if status == UNBOUNDED:
         # Phase 1 minimizes a sum of nonnegative variables; it cannot be
         # unbounded, so this would be a kernel bug.

@@ -269,7 +269,10 @@ def shared_weight_to_json(rep: SharedWeight) -> dict:
 
 
 def shared_weight_from_json(data) -> SharedWeight:
-    """Read the JSON form written by :func:`shared_weight_to_json`."""
+    """Read the JSON form written by :func:`shared_weight_to_json`.
+
+    A dict without ``"n"`` gets the largest variable index of its weights.
+    """
     if not (
         isinstance(data, dict)
         and isinstance(data.get("weights"), dict)
@@ -282,9 +285,9 @@ def shared_weight_from_json(data) -> SharedWeight:
         )
     weights = {parse_monomial(k): parse_fraction(v) for k, v in data["weights"].items()}
     thresholds = tuple(parse_fraction(t) for t in data["thresholds"])
-    n = data.get("n") or max((m[-1] for m in weights), default=1)
-    if not isinstance(n, int):
-        raise ParseError(f'shared-weight JSON "n" must be an integer, got {n!r}')
+    n = data["n"] if "n" in data else max((m[-1] for m in weights), default=1)
+    if type(n) is not int or n < 1:
+        raise ParseError(f'shared-weight JSON "n" must be a positive integer, got {n!r}')
     try:
         return SharedWeight(n, weights, thresholds)
     except ValueError as exc:

@@ -76,7 +76,8 @@ def full_tableau_solve(A, b, nvars: int):
 
     The library solves only the Farkas alternative, so this primal is the
     independent verdict reference; witnesses are compared against
-    :func:`farkas_phase1_reference`, whose pivots the library makes.
+    :func:`farkas_phase1_reference` under the pricing rule the library
+    used.
     """
     A = [[int(v) for v in row] for row in A]
     b = [int(v) for v in b]
@@ -128,17 +129,22 @@ def full_tableau_solve(A, b, nvars: int):
     )
 
 
-def farkas_phase1_reference(A, b):
+def farkas_phase1_reference(A, b, rule: str):
     """Reference phase 1 of ``y >= 0, A^T y = 0, -b^T y = 1`` over Fractions.
 
     A dense tableau with one artificial per row, numbered before the ``y``
-    columns.  Bland's rule enters the lowest ``y`` column with a negative
-    reduced cost (artificials never re-enter) and breaks ratio-test ties by
-    the lowest-numbered basic variable; the solve stops once the
-    artificials' sum is 0.  Returns ``(False, y)`` with the ray ``y``
-    (``-b^T y = 1``), or ``(True, x)`` with the point ``x = u / t`` read
-    from the multipliers ``(u, t)``; both as tuples of Fractions.
+    columns; only ``y`` columns enter, so artificials never re-enter.
+    ``rule="bland"`` enters the lowest ``y`` column with a negative reduced
+    cost.  ``rule="dantzig"`` enters the one with the most negative reduced
+    cost (lowest index on ties) and switches to Bland's rule once a basis
+    set repeats.  Ratio-test ties go to the lowest-numbered basic variable;
+    the solve stops once the artificials' sum is 0.  Returns ``(False, y)``
+    with the ray ``y`` (``-b^T y = 1``), or ``(True, x)`` with the point
+    ``x = u / t`` read from the multipliers ``(u, t)``; both as tuples of
+    Fractions.
     """
+    if rule not in ("dantzig", "bland"):
+        raise ValueError(f"unknown pricing rule {rule!r}")
     A = [[Fraction(int(v)) for v in row] for row in A]
     m, n = len(A), len(A[0])
     r = n + 1
@@ -147,8 +153,13 @@ def farkas_phase1_reference(A, b):
     rows.append([Fraction(int(k == n)) for k in range(r)] + [-Fraction(int(v)) for v in b] + [Fraction(1)])
     cost = [Fraction(0)] * r + [-sum(row[j] for row in rows) for j in range(r, r + m + 1)]
     basis = list(range(r))
+    seen = {frozenset(basis)}
     while cost[-1] != 0:
-        entering = [j for j in range(r, r + m) if cost[j] < 0]
+        if rule == "dantzig":
+            q = min(range(r, r + m), key=lambda j: (cost[j], j))
+            entering = [q] if cost[q] < 0 else []
+        else:
+            entering = [j for j in range(r, r + m) if cost[j] < 0]
         if not entering:
             pi = [1 - cost[k] for k in range(r)]
             return True, tuple(v / pi[n] for v in pi[:n])
@@ -166,6 +177,9 @@ def farkas_phase1_reference(A, b):
         f = cost[q]
         cost = [v - f * w for v, w in zip(cost, rows[p])]
         basis[p] = q
+        if frozenset(basis) in seen:
+            rule = "bland"
+        seen.add(frozenset(basis))
     y = [Fraction(0)] * m
     for i, v in enumerate(basis):
         if v >= r:

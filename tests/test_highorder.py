@@ -6,6 +6,7 @@ import pytest
 
 from ptfkit import (
     PreconditionError,
+    all_vectors,
     const,
     flip_at,
     high_order_vectors,
@@ -32,6 +33,18 @@ def test_is_high_order_vector_examples():
 
     hit = is_high_order_vector(const(3, 0), (1, 1, 1))
     assert hit is not None and (hit.order_before, hit.order_after) == (0, 1)
+
+
+def test_one_flip_changes_the_order_by_at_most_one():
+    # if p sign-represents f with degree d, then p * (-L) sign-represents
+    # flip_at(f, Y) with degree d + 1, where L > 0 only at Y
+    changes = []
+    for n in (1, 2, 3):
+        orders = {f: order(f) for f in all_tables(n)}
+        for f, r in orders.items():
+            changes += [orders[flip_at(f, Y)] - r for Y in all_vectors(n)]
+    assert len(changes) == 2120
+    assert max(map(abs, changes)) == 1
 
 
 def test_high_order_vectors_of_xor2():

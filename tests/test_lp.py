@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -142,9 +144,9 @@ def _farkas_proof(A, b):
     return False, tuple(Fraction(v, scale) for v in proof)
 
 
-def _reference_result(A, b) -> FeasibilityResult:
+def _reference_result(A, b, rule: str) -> FeasibilityResult:
     """The result the Farkas reference proves, checked against the primal's verdict."""
-    feasible, proof = farkas_phase1_reference(A, b)
+    feasible, proof = farkas_phase1_reference(A, b, rule)
     assert feasible == full_tableau_solve(A, b, A.shape[1])[0]
     return FeasibilityResult(feasible, proof if feasible else None)
 
@@ -153,10 +155,12 @@ def test_witnesses_match_full_tableau_reference_on_random_systems():
     # the Farkas phase 1 makes its reference's pivots, so every proof and
     # witness is equal, and its verdict is the independent primal's
     for A, b in _random_systems(31337, 400):
-        expected = _reference_result(A, b)
+        # entries past the int64 guard start on the object rung, under Bland
+        rule = "dantzig" if np.abs(A).max() <= _simplex._INT64_GUARD else "bland"
+        expected = _reference_result(A, b, rule)
         assert feasible_le_int(A, b) == expected
         assert lp.decide(A, b) == expected.feasible
-        assert _farkas_proof(A, b) == farkas_phase1_reference(A, b)
+        assert _farkas_proof(A, b) == farkas_phase1_reference(A, b, rule)
 
 
 def test_witnesses_match_full_tableau_reference_on_every_n3_table():
@@ -164,12 +168,12 @@ def test_witnesses_match_full_tableau_reference_on_every_n3_table():
         verdicts = []
         for d in range(4):
             mons, A, b = _realization_system(f, d)
-            ref = _reference_result(A, b)
+            ref = _reference_result(A, b, "dantzig")
             w = ref.witness
             expected = PTF(3, dict(zip(mons, w)), w[-1]) if ref.feasible else None
             assert ptf.realize_at_degree(f, d) == expected
             assert lp.decide(A, b) == ref.feasible
-            assert _farkas_proof(A, b) == farkas_phase1_reference(A, b)
+            assert _farkas_proof(A, b) == farkas_phase1_reference(A, b, "dantzig")
             verdicts.append(expected)
         r = ptf.order(f)
         assert r == next(d for d, p in enumerate(verdicts) if p is not None)
@@ -191,10 +195,10 @@ def test_farkas_overflow_mid_solve_restarts_on_object_dtype(A, b, monkeypatch):
     seen = []
     loop = _simplex._pivot_loop_numpy
 
-    def spy(T, *args, **kwargs):
+    def spy(T, basis, dantzig):
         start = T.copy()
-        status, delta = loop(T, *args, **kwargs)
-        seen.append((T.dtype, status, not np.array_equal(T, start)))
+        status, delta = loop(T, basis, dantzig)
+        seen.append((T.dtype, dantzig, status, not np.array_equal(T, start)))
         return status, delta
 
     # a guard the initial tableau meets but later pivots pass
@@ -203,8 +207,37 @@ def test_farkas_overflow_mid_solve_restarts_on_object_dtype(A, b, monkeypatch):
     monkeypatch.setattr(_simplex, "_pivot_loop_numpy", spy)
     after = feasible_le_int(A, b)
     status = _simplex.FEASIBLE if before.feasible else _simplex.INFEASIBLE
-    assert seen == [(np.int64, _simplex.OVERFLOW, True), (object, status, True)]
-    assert after == before == _reference_result(A, b)
+    assert seen == [
+        (np.int64, True, _simplex.OVERFLOW, True),
+        (np.int64, False, _simplex.OVERFLOW, True),
+        (object, False, status, True),
+    ]
+    assert before == _reference_result(A, b, "dantzig")
+    assert after == _reference_result(A, b, "bland")
+
+
+# Reversing the rows of this n=7 table's degree-3 LP (its order is 3) makes
+# plain Dantzig pricing cycle; the guard must switch to Bland's rule.
+_CYCLING_LP = """
+from ptfkit import TruthTable, lp, ptf
+code = int("c493145e679b9e1ec0c29f21b234ae9c", 16)
+f = TruthTable(7, tuple((code >> i) & 1 for i in range(128)))
+_, A, b = ptf._realization_lp(f, 3)
+print(lp.decide(A[::-1], b[::-1]))
+"""
+
+
+def test_repeated_basis_switches_dantzig_to_bland(subprocess_env):
+    # a child with a timeout, so a missing cycle guard fails instead of hanging
+    proc = subprocess.run(
+        [sys.executable, "-c", _CYCLING_LP],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
 
 
 # 0 <= x <= 1 is feasible; x <= 1 with x >= 2 is not (ray y = (1, 1))

@@ -16,6 +16,7 @@ from ptfkit import (
     SharedWeight,
     TruthTable,
     XorList,
+    cli,
     cofactor,
     compose_by_variable,
     const,
@@ -198,6 +199,22 @@ def test_shared_weight_json_round_trip():
     data = shared_weight_to_json(rep)
     assert data["thresholds"] == ["1/2", "2"]
     assert shared_weight_from_json(data) == rep
+
+
+@pytest.mark.parametrize("n", [True, -3, 0, "3"], ids=["bool-n", "negative-n", "zero-n", "string-n"])
+def test_shared_weight_json_rejects_bad_n(n, tmp_path, capsys):
+    data = {"n": n, "weights": {}, "thresholds": ["1"]}
+    with pytest.raises(ParseError):
+        shared_weight_from_json(data)
+    rep_file = tmp_path / "rep.json"
+    rep_file.write_text(json.dumps(data))
+    assert cli.run(["eval", str(rep_file), "--at", "1"]) == 1
+    assert "error" in capsys.readouterr().err
+
+
+def test_shared_weight_json_without_n_takes_the_largest_index():
+    data = {"weights": {"1": "1", "3": "2"}, "thresholds": ["1"]}
+    assert shared_weight_from_json(data) == SharedWeight(3, {(1,): 1, (3,): 2}, (1,))
 
 
 def test_xor_list_json_is_ptf_text():

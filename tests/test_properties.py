@@ -10,9 +10,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptfkit import PTF, TruthTable, XorList, cli, format_table, parse_table
+from ptfkit import PTF, SharedWeight, TruthTable, XorList, cli, format_table, parse_table
 from ptfkit.lp import decide, feasible_le_int
-from ptfkit.multithreshold import xor_list_from_json, xor_list_to_json
+from ptfkit.multithreshold import (
+    shared_weight_from_json,
+    shared_weight_to_json,
+    xor_list_from_json,
+    xor_list_to_json,
+)
 from ptfkit.ptf import format_ptf_text, monomials_up_to, parse_ptf_text
 from oracles import farkas_phase1_reference, full_tableau_solve
 
@@ -35,7 +40,7 @@ def small_systems(draw):
 def test_decide_primal_and_reference_agree(system):
     A, b, nvars = system
     res = feasible_le_int(A, b)
-    ok, witness = farkas_phase1_reference(A, b)
+    ok, witness = farkas_phase1_reference(A, b, "dantzig")
     assert decide(A, b) == res.feasible == ok == full_tableau_solve(A, b, nvars)[0]
     assert res.witness == (witness if ok else None)
 
@@ -66,6 +71,14 @@ def xor_lists(draw):
     return XorList(tuple(draw(st.lists(ptfs(n, max_order=1), min_size=1, max_size=4))))
 
 
+@st.composite
+def shared_weights(draw):
+    """One weight map over at most 5 variables with up to 4 thresholds."""
+    p = draw(ptfs())
+    coeff = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+    return SharedWeight(p.n, p.coeffs, tuple(draw(st.lists(coeff, max_size=4))))
+
+
 @DERANDOMIZED
 @given(ptfs())
 def test_ptf_text_round_trip(p):
@@ -76,6 +89,12 @@ def test_ptf_text_round_trip(p):
 @given(xor_lists())
 def test_xor_list_json_round_trip(rep):
     assert xor_list_from_json(json.loads(json.dumps(xor_list_to_json(rep)))) == rep
+
+
+@DERANDOMIZED
+@given(shared_weights())
+def test_shared_weight_json_round_trip(rep):
+    assert shared_weight_from_json(json.loads(json.dumps(shared_weight_to_json(rep)))) == rep
 
 
 _JSON_VALUES = st.recursive(
@@ -122,3 +141,69 @@ def test_cli_eval_exit_codes_on_arbitrary_files(tmp_path_factory, req):
     assert code in (0, 1, 2)
     if ok:
         assert code == 0
+
+
+# Table text: arbitrary, near-valid, or a valid table of at most 5 variables.
+_TABLES = st.one_of(
+    st.text(max_size=34),
+    st.text("01x ", max_size=34),
+    st.integers(0, 5).flatmap(lambda n: st.text("01", min_size=1 << n, max_size=1 << n)),
+    st.text("0123456789abcdefABCDEFx", max_size=10).map("0x".__add__),
+)
+
+
+def _exit_code(argv) -> int:
+    """The process exit code of one in-process CLI request."""
+    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+        try:
+            return cli.run(argv)
+        except SystemExit as exc:
+            # argparse ends a usage error (say, a table text read as an
+            # option) with SystemExit(2)
+            return exc.code
+
+
+@DERANDOMIZED
+@given(_TABLES)
+def test_cli_analyze_exit_codes_on_arbitrary_tables(table):
+    assert _exit_code(["analyze", table]) in (0, 1, 2)
+
+
+@st.composite
+def reduce_requests(draw):
+    """Table text and ``--at`` for ``reduce``, mostly a threshold table flipped at the vector.
+
+    Returns ``(table, at, ok)`` with ``ok`` set when the flip at ``at`` is
+    threshold, so the request may fail only on g's order.
+    """
+    n = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    theta = draw(st.integers(-3, 3))
+    Y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    flip = sum(y << i for i, y in enumerate(Y))
+    bits = [
+        int(sum(w * (j >> i & 1) for i, w in enumerate(weights)) >= theta) ^ (j == flip)
+        for j in range(1 << n)
+    ]
+    table, at = "".join(map(str, bits)), "".join(map(str, Y))
+    if draw(st.booleans()):
+        return table, at, True
+    return draw(st.just(table) | _TABLES), draw(st.just(at) | _VECTORS), False
+
+
+@DERANDOMIZED
+@given(reduce_requests())
+def test_cli_reduce_exit_codes_on_arbitrary_tables_and_vectors(req):
+    table, at, ok = req
+    code = _exit_code(["reduce", table, f"--at={at}"])
+    assert code in (0, 1, 2)
+    if ok:
+        # 2 only when the table itself has order below 2
+        assert code in (0, 2)
+
+
+@DERANDOMIZED
+@given(_TABLES, st.integers(-1, 3))
+def test_cli_asummable_exit_codes_on_arbitrary_tables(table, m):
+    # small m only: the search enumerates every multiset of up to m points
+    assert _exit_code(["asummable", table, f"--m={m}"]) in (0, 1, 2)
