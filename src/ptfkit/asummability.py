@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement
+from math import comb
 
 import numpy as np
 
@@ -32,6 +33,13 @@ from .ptf import PTF, is_threshold
 # Multiset enumeration is exponential in 2^n; keep searches at desk scale.
 MAX_SEARCH_VARS = 6
 MAX_REPORT_VARS = 4
+
+# The search gathers the n coordinates of every point of every multiset it
+# enumerates, so time and memory grow with the count of those entries.  At
+# this cap a search takes about 1 s and 350 MB of peak RSS on a 2-CPU
+# x86_64 VM (0.9 s and 319 MB for k <= 5 over a 26/38 split of the n = 6
+# points, 0.7 s and 328 MB for k <= 6 over a 5/27 split at n = 5).
+MAX_SEARCH_CELLS = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -77,6 +85,12 @@ def find_certificate(f: TruthTable, m: int) -> SummabilityCertificate | None:
 
     Ties at the minimal k are broken by lexicographic order on the pair of
     index multisets, true side first.
+
+    Preconditions: ``m >= 2``, ``f.n <= MAX_SEARCH_VARS``, and the size-2
+    to size-m multisets of true and of false vectors hold at most
+    ``MAX_SEARCH_CELLS`` vector entries in all; the last is counted before
+    anything is enumerated, whether or not a smaller k would find a
+    certificate.
     """
     if m < 2:
         raise PreconditionError(f"multiset bound must be >= 2, got {m}")
@@ -86,6 +100,14 @@ def find_certificate(f: TruthTable, m: int) -> SummabilityCertificate | None:
     false_idx = [i for i, b in enumerate(f.bits) if not b]
     if not true_idx or not false_idx:
         return None
+    cells = 0
+    for k in range(2, m + 1):
+        cells += (comb(len(true_idx) + k - 1, k) + comb(len(false_idx) + k - 1, k)) * k * f.n
+        if cells > MAX_SEARCH_CELLS:
+            raise PreconditionError(
+                f"certificate search up to m={m} enumerates multisets of more than "
+                f"{MAX_SEARCH_CELLS} vector entries in all, above the cap"
+            )
     T = np.array([vector_at(i, f.n) for i in true_idx], dtype=np.int64)
     F = np.array([vector_at(i, f.n) for i in false_idx], dtype=np.int64)
     for k in range(2, m + 1):

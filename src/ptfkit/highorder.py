@@ -1,7 +1,12 @@
 """High-order vectors and order reduction by a single-point flip.
 
 Flipping a function g at one input Y sometimes changes its minimal
-realization order; such a Y is a high-order vector of g.  When the flip
+realization order; such a Y is a high-order vector of g.  One flip moves
+the order by at most 1 (if p sign-represents g with degree d, then
+p * (-L) sign-represents the flip with degree d+1, where L is positive
+only at Y), so a probe decides at most two LPs of the flipped function,
+and the Farkas ray that refutes g one degree below its order refutes
+every flip at a point off the ray's support.  When the flip
 lands in the threshold class (order <= 1), the disagreement function
 g XOR flip(g, Y) is true only at Y, and a one-minterm function always has
 the closed-form degree-1 realization
@@ -19,11 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import InputVector, TruthTable, all_vectors, flip_at, minterms, xor
+from . import lp
+from .core import InputVector, TruthTable, all_vectors, flip_at, index_of, minterms, xor
 from .errors import DimensionMismatch, PreconditionError
-from .ptf import PTF, is_threshold, order, truth_table
+from .ptf import PTF, _order_and_ray, _realization_lp, is_threshold, order, truth_table
 
-# Each probe costs an order computation; keep enumeration at desk scale.
+# A probe solves at most two LPs over 2^n rows; keep enumeration at desk scale.
 MAX_PROBE_VARS = 6
 
 
@@ -41,11 +47,35 @@ def _check_probe_size(g: TruthTable) -> None:
         raise PreconditionError(f"high-order probes capped at n <= {MAX_PROBE_VARS}, got {g.n}")
 
 
-def _flip_changes_order(g: TruthTable, r: int, Y: InputVector) -> HighOrderVectorResult | None:
-    s = order(flip_at(g, Y))
-    if s == r:
-        return None
-    return HighOrderVectorResult(tuple(Y), r, s)
+def _probe(
+    g: TruthTable, r: int, ray: list[int] | None, Y: InputVector
+) -> HighOrderVectorResult | None:
+    """Present iff flipping g at Y changes g's order r; ``ray`` is g's Farkas ray at r-1.
+
+    One flip moves the order by at most 1, so the flip's order s is r-1, r
+    or r+1, and at most two LPs of the flipped function tell them apart:
+
+    * at r-1, only when the ray weights Y.  A ray with ``y_Y = 0`` is also a
+      ray of the flipped system, which differs from g's in row Y alone; it
+      is re-checked against that system instead of solving it.
+    * at r, only when s is not r-1 and r < n: infeasible there means s = r+1.
+    """
+    f = flip_at(g, Y)
+    s = r
+    if r >= 1:
+        _, A, b = _realization_lp(f, r - 1)
+        if ray[index_of(Y)]:
+            if lp.decide(A, b):
+                s = r - 1
+        elif not lp._is_farkas_ray(A, b, ray):
+            raise AssertionError(
+                f"g's Farkas ray at degree {r - 1} does not refute the flip at {Y}"
+            )
+    if s == r and r < g.n:
+        _, A, b = _realization_lp(f, r)
+        if not lp.decide(A, b):
+            s = r + 1
+    return None if s == r else HighOrderVectorResult(tuple(Y), r, s)
 
 
 def is_high_order_vector(g: TruthTable, Y: InputVector) -> HighOrderVectorResult | None:
@@ -53,19 +83,20 @@ def is_high_order_vector(g: TruthTable, Y: InputVector) -> HighOrderVectorResult
     if len(Y) != g.n:
         raise DimensionMismatch(f"vector has {len(Y)} entries, function has {g.n} variables")
     _check_probe_size(g)
-    return _flip_changes_order(g, order(g), Y)
+    return _probe(g, *_order_and_ray(g), Y)
 
 
 def high_order_search(g: TruthTable) -> tuple[int, list[HighOrderVectorResult]]:
     """The order of g and all qualifying flip points, in ascending table-index order.
 
-    Computes the order of g once, then one order per flip point.
+    Computes the order of g and its Farkas ray once, then at most two LPs
+    per flip point.
     """
     _check_probe_size(g)
-    r = order(g)
+    r, ray = _order_and_ray(g)
     results = []
     for Y in all_vectors(g.n):
-        hit = _flip_changes_order(g, r, Y)
+        hit = _probe(g, r, ray, Y)
         if hit is not None:
             results.append(hit)
     return r, results

@@ -15,7 +15,9 @@ any answer leaves this module: a Farkas ray when the system is
 infeasible, phase-1 multipliers ``(x, t)`` with ``t > 0`` and
 ``A x <= t b`` when it is feasible.  The witness is ``x / t``.  A proof
 that fails its check would be a kernel bug and raises AssertionError
-immediately.
+immediately.  :func:`solve` returns the checked proof itself;
+:func:`decide` keeps only the verdict and :func:`feasible_le_int` the
+witness.
 """
 
 from __future__ import annotations
@@ -89,8 +91,8 @@ def feasible_le_int(A, b) -> FeasibilityResult:
     realizability encodings do); the witness has one entry per column of
     ``A``.  Same contract as :func:`feasible`.
     """
-    proof = _checked_solve(np.asarray(A), np.asarray(b))
-    if proof is None:
+    ok, proof = solve(A, b)
+    if not ok:
         return FeasibilityResult(False, None)
     x, t = proof
     return FeasibilityResult(True, tuple(Fraction(v, t) for v in x))
@@ -99,31 +101,32 @@ def feasible_le_int(A, b) -> FeasibilityResult:
 def decide(A, b) -> bool:
     """Whether integer ``A x <= b`` has a solution, proved either way.
 
-    Same solve and proof check as :func:`feasible_le_int`, without building
-    the witness.
+    Same solve and proof check as :func:`solve`, keeping only the verdict.
     """
-    return _checked_solve(np.asarray(A), np.asarray(b)) is not None
+    return solve(A, b)[0]
 
 
-def _checked_solve(A, b) -> tuple[list[int], int] | None:
-    """Solve ``A x <= b`` by the Farkas phase 1 and re-check its proof.
+def solve(A, b) -> tuple[bool, tuple[list[int], int] | list[int]]:
+    """Solve integer ``A x <= b`` by the Farkas phase 1, with its proof re-checked.
 
-    Returns the multipliers ``(x, t)`` with ``t > 0`` and ``A x <= t b``,
-    or None for an infeasible system once its ray ``y >= 0`` with
-    ``A^T y = 0`` and ``b^T y < 0`` has passed the check.  A system with no
-    rows is feasible with ``x = 0``.
+    Returns ``(True, (x, t))`` with Python ints, ``t > 0`` and
+    ``A x <= t b`` (the witness is ``x / t``), or ``(False, y)`` with a
+    Farkas ray: Python ints ``y >= 0`` with ``A^T y = 0`` and
+    ``b^T y < 0``, one per row.  A system with no rows is feasible with
+    ``x = 0``.  A proof that fails its check raises AssertionError.
     """
+    A = np.asarray(A)
+    b = np.asarray(b)
     if A.shape[0] == 0:
-        return [0] * A.shape[1], 1
-    feasible, proof = _simplex.solve_free_le(A, b)
-    if feasible:
+        return True, ([0] * A.shape[1], 1)
+    ok, proof = _simplex.solve_free_le(A, b)
+    if ok:
         x, t = proof
         if not (t > 0 and _holds(A, b, x, t)):
             raise AssertionError("Farkas phase 1 produced multipliers violating a constraint")
-        return proof
-    if not _is_farkas_ray(A, b, proof):
+    elif not _is_farkas_ray(A, b, proof):
         raise AssertionError("Farkas phase 1 produced an invalid infeasibility ray")
-    return None
+    return ok, proof
 
 
 def _dtype_for(bound: int):

@@ -184,13 +184,25 @@ def minimal_realization(f: TruthTable) -> tuple[int, PTF]:
 def order(f: TruthTable) -> int:
     """Smallest degree at which f is realizable (0 iff f is constant).
 
-    Decides degree 0, 1, ... by :func:`lp.decide`, each with a re-checked
+    Decides degree 0, 1, ... by :func:`lp.solve`, each with a re-checked
     proof, without building a witness.
     """
+    return _order_and_ray(f)[0]
+
+
+def _order_and_ray(f: TruthTable) -> tuple[int, list[int] | None]:
+    """The order r of f and the re-checked Farkas ray of its degree r-1 LP.
+
+    The ray (one entry per table index, None at r = 0) is the proof the
+    climb already holds when degree r-1 fails, so it costs no extra LP.
+    """
+    ray = None
     for d in range(f.n + 1):
         _, A, b = _realization_lp(f, d)
-        if lp.decide(A, b):
-            return d
+        feasible, proof = lp.solve(A, b)
+        if feasible:
+            return d, ray
+        ray = proof
     raise AssertionError("every function is realizable at degree n")
 
 

@@ -15,6 +15,7 @@ from ptfkit import (
     is_m_asummable,
     is_threshold,
 )
+from ptfkit import asummability
 from ptfkit.asummability import certificate_to_json
 from conftest import AND2, OR2, XOR2, all_tables
 from oracles import naive_certificate_exists
@@ -43,6 +44,23 @@ def test_constants_have_no_certificate():
 def test_m_validated():
     with pytest.raises(PreconditionError):
         find_certificate(XOR2, 1)
+
+
+def test_search_cap_counts_every_multiset_entry(monkeypatch):
+    # AND2 has 1 true and 3 false points: k = 2 gathers (1 + 6) * 2 * 2
+    # vector entries, k = 3 another (1 + 10) * 3 * 2, 94 in all
+    monkeypatch.setattr(asummability, "MAX_SEARCH_CELLS", 94)
+    assert find_certificate(AND2, 3) is None
+    monkeypatch.setattr(asummability, "MAX_SEARCH_CELLS", 93)
+    with pytest.raises(PreconditionError, match="cap"):
+        find_certificate(AND2, 3)
+
+
+def test_search_cap_holds_even_when_a_small_k_would_find_a_certificate():
+    parity6 = TruthTable(6, tuple(bin(i).count("1") & 1 for i in range(64)))
+    assert find_certificate(parity6, 2) is not None
+    with pytest.raises(PreconditionError, match="cap"):
+        find_certificate(parity6, 6)
 
 
 def test_downward_monotonicity():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,15 @@ def test_family_rejects_theta_line(tmp_path, capsys):
     weights.write_text("1: 1\n2: 1\ntheta: 1\n")
     assert run(["family", str(weights)]) == 1
     assert "theta" in capsys.readouterr().err
+
+
+def test_asummable_above_the_search_cap_exits_2_at_once(capsys):
+    # a 6-variable threshold table with 32 false points: no certificate, so
+    # the search would enumerate C(41, 10) multisets at k = 10 alone
+    started = time.perf_counter()
+    assert run(["asummable", "0x0001017f017f7fff", "--m", "10"]) == 2
+    assert time.perf_counter() - started < 1
+    assert "precondition" in capsys.readouterr().err
 
 
 def test_precondition_error_exits_2(capsys):

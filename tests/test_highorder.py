@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from ptfkit import (
     PreconditionError,
+    TruthTable,
     all_vectors,
     const,
     flip_at,
@@ -18,10 +21,12 @@ from ptfkit import (
     parse_table,
     single_minterm_witness,
     truth_table,
+    vector_at,
     xor,
 )
-from ptfkit.highorder import hov_to_json
-from conftest import AND2, NAND2, OR2, XOR2, all_tables
+from ptfkit import highorder, lp
+from ptfkit.highorder import high_order_search, hov_to_json
+from conftest import AND2, NAND2, OR2, XOR2, all_tables, parity_table
 
 
 def test_is_high_order_vector_examples():
@@ -45,6 +50,80 @@ def test_one_flip_changes_the_order_by_at_most_one():
             changes += [orders[flip_at(f, Y)] - r for Y in all_vectors(n)]
     assert len(changes) == 2120
     assert max(map(abs, changes)) == 1
+
+
+def _reference_search(g, order_of):
+    """The order of g and its flip points, each flip's order found by a climb from degree 0."""
+    r = order_of(g)
+    hits = []
+    for Y in all_vectors(g.n):
+        s = order_of(flip_at(g, Y))
+        if s != r:
+            hits.append((Y, r, s))
+    return r, hits
+
+
+def _found(results):
+    return [(h.Y, h.order_before, h.order_after) for h in results]
+
+
+def _assert_probes_match_reference(tables, order_of):
+    orders = set()
+    for g in tables:
+        r, hits = _reference_search(g, order_of)
+        orders.add(r)
+        got_r, got = high_order_search(g)
+        assert (got_r, _found(got)) == (r, hits)
+        probed = [is_high_order_vector(g, Y) for Y in all_vectors(g.n)]
+        assert _found(hit for hit in probed if hit is not None) == hits
+    return orders
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_probes_match_climbing_order_on_every_small_table(n):
+    orders = {f: order(f) for f in all_tables(n)}
+    seen = _assert_probes_match_reference(list(orders), orders.__getitem__)
+    # constants (r = 0) and parity (r = n) included
+    assert {0, n} <= seen
+
+
+def test_probes_match_climbing_order_on_sampled_n4_tables():
+    rng = random.Random(4)
+    tables = [const(4, 0), parity_table(4)]
+    tables += [TruthTable(4, tuple(rng.getrandbits(1) for _ in range(16))) for _ in range(198)]
+    seen = _assert_probes_match_reference(tables, order)
+    assert {0, 1, 2, 3, 4} <= seen
+
+
+def test_a_probe_solves_at_most_two_lps(monkeypatch):
+    solves = 0
+    real_solve = lp.solve
+
+    def counting_solve(A, b):
+        nonlocal solves
+        solves += 1
+        return real_solve(A, b)
+
+    monkeypatch.setattr(lp, "solve", counting_solve)
+    for n in (2, 3):
+        for g in all_tables(n):
+            solves = 0
+            r, _ = high_order_search(g)
+            # r + 1 LPs find g's order, then at most two per probe
+            assert solves <= r + 1 + 2 * g.size
+
+
+def test_forged_reused_ray_raises(monkeypatch):
+    r, ray = highorder._order_and_ray(AND2)
+    zeros = [i for i, y in enumerate(ray) if y == 0]
+    assert r == 1 and len(zeros) >= 2
+    forged = list(ray)
+    forged[zeros[0]] = 1
+    monkeypatch.setattr(highorder, "_order_and_ray", lambda g: (r, forged))
+    with pytest.raises(AssertionError, match="Farkas ray"):
+        high_order_search(AND2)
+    with pytest.raises(AssertionError, match="Farkas ray"):
+        is_high_order_vector(AND2, vector_at(zeros[1], 2))
 
 
 def test_high_order_vectors_of_xor2():

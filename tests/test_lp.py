@@ -161,6 +161,8 @@ def test_witnesses_match_full_tableau_reference_on_random_systems():
         assert feasible_le_int(A, b) == expected
         assert lp.decide(A, b) == expected.feasible
         assert _farkas_proof(A, b) == farkas_phase1_reference(A, b, rule)
+        # solve hands out the kernel's proof once it has passed its check
+        assert lp.solve(A, b) == _simplex.solve_free_le(A, b)
 
 
 def test_witnesses_match_full_tableau_reference_on_every_n3_table():
@@ -259,8 +261,9 @@ def test_bad_proofs_raise(system, forged, monkeypatch):
     assert feasible_le_int(A, b).feasible == (system is _INTERVAL)
     for name, fake in forged.items():
         monkeypatch.setattr(_simplex, name, fake)
-    with pytest.raises(AssertionError):
-        feasible_le_int(A, b)
+    for entry in (lp.solve, lp.decide, feasible_le_int):
+        with pytest.raises(AssertionError):
+            entry(A, b)
 
 
 def test_overflow_falls_back_to_exact_path():

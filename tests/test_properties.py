@@ -10,7 +10,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptfkit import PTF, SharedWeight, TruthTable, XorList, cli, format_table, parse_table
+from ptfkit import (
+    PTF,
+    SharedWeight,
+    TruthTable,
+    XorList,
+    cli,
+    format_table,
+    parse_table,
+    truth_table,
+    xor,
+)
 from ptfkit.lp import decide, feasible_le_int
 from ptfkit.multithreshold import (
     shared_weight_from_json,
@@ -203,7 +213,104 @@ def test_cli_reduce_exit_codes_on_arbitrary_tables_and_vectors(req):
 
 
 @DERANDOMIZED
-@given(_TABLES, st.integers(-1, 3))
+@given(_TABLES, st.integers(-1, 12))
 def test_cli_asummable_exit_codes_on_arbitrary_tables(table, m):
-    # small m only: the search enumerates every multiset of up to m points
     assert _exit_code(["asummable", table, f"--m={m}"]) in (0, 1, 2)
+
+
+_WELL_FORMED_TABLES = st.integers(1, 4).flatmap(
+    lambda n: st.text("01", min_size=1 << n, max_size=1 << n)
+)
+
+
+@DERANDOMIZED
+@given(st.one_of(_TABLES.map(lambda t: (t, False)), _WELL_FORMED_TABLES.map(lambda t: (t, True))))
+def test_cli_hov_exit_codes_on_arbitrary_tables(req):
+    table, ok = req
+    code = _exit_code(["hov", table])
+    assert code in (0, 1, 2)
+    if ok:
+        assert code == 0
+
+
+def _write(tmp_path_factory, name: str, text: str) -> str:
+    path = tmp_path_factory.getbasetemp() / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@st.composite
+def extend_requests(draw):
+    """Table text and two component files for ``extend``, mostly a well-formed pair.
+
+    A well-formed request has two degree-1 realizations with one integer
+    weight map and the XOR of their tables.  Returns
+    ``(table, f1 text, f2 text, ok)`` with ``ok`` set for such a request.
+    """
+    n = draw(st.integers(2, 4))
+    w = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    weights = {(i + 1,): v for i, v in enumerate(w)}
+    p1, p2 = (PTF(n, weights, draw(st.integers(-3, 3))) for _ in range(2))
+    table = format_table(xor(truth_table(p1), truth_table(p2)))
+    f1, f2 = format_ptf_text(p1), format_ptf_text(p2)
+    if draw(st.booleans()):
+        return table, f1, f2, True
+    return (
+        draw(st.just(table) | _TABLES),
+        draw(st.just(f1) | _MALFORMED_FILES | ptfs().map(format_ptf_text)),
+        draw(st.just(f2) | _MALFORMED_FILES | ptfs().map(format_ptf_text)),
+        False,
+    )
+
+
+@DERANDOMIZED
+@given(extend_requests())
+def test_cli_extend_exit_codes_on_arbitrary_components(tmp_path_factory, req):
+    table, f1, f2, ok = req
+    paths = [_write(tmp_path_factory, "f1.ptf", f1), _write(tmp_path_factory, "f2.ptf", f2)]
+    code = _exit_code(["extend", table, *paths])
+    assert code in (0, 1, 2)
+    if ok:
+        assert code == 0
+
+
+@st.composite
+def family_requests(draw):
+    """Weight-file text and ``--n`` for ``family``, mostly a well-formed weight map.
+
+    Returns ``(text, n, ok)``; a well-formed request is the weight lines of
+    a PTF over at most 5 variables with no ``--n`` or its own ``n``.
+    """
+    p = draw(ptfs())
+    if draw(st.booleans()):
+        # the weight lines without the theta line
+        return format_ptf_text(p).rsplit("theta:", 1)[0], draw(st.sampled_from([None, p.n])), True
+    return draw(_MALFORMED_FILES), draw(st.none() | st.integers(-3, 18)), False
+
+
+@DERANDOMIZED
+@given(family_requests())
+def test_cli_family_exit_codes_on_arbitrary_weight_files(tmp_path_factory, req):
+    text, n, ok = req
+    argv = ["family", _write(tmp_path_factory, "weights.txt", text)]
+    if n is not None:
+        argv.append(f"--n={n}")
+    code = _exit_code(argv)
+    assert code in (0, 1, 2)
+    if ok:
+        assert code == 0
+
+
+@DERANDOMIZED
+@given(
+    st.one_of(
+        st.tuples(_WELL_FORMED_TABLES, st.integers(0, 4), st.integers(1, 3), st.just(True)),
+        st.tuples(_TABLES, st.integers(-2, 4), st.integers(-1, 7), st.just(False)),
+    )
+)
+def test_cli_synth_mtf_exit_codes_on_arbitrary_tables(req):
+    table, k_max, bound, ok = req
+    code = _exit_code(["synth-mtf", table, f"--k-max={k_max}", f"--weight-bound={bound}"])
+    assert code in (0, 1, 2)
+    if ok:
+        assert code == 0
