@@ -41,7 +41,6 @@ from .highorder import (
     order_reduce,
     single_minterm_witness,
 )
-from .lp import FeasibilityResult, LinearConstraint, feasible
 from .multithreshold import (
     MultithresholdRep,
     OrderExtensionResult,
@@ -72,10 +71,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ConsistencyReport",
     "DimensionMismatch",
-    "FeasibilityResult",
     "HighOrderVectorResult",
     "InputVector",
-    "LinearConstraint",
     "Monomial",
     "MultithresholdRep",
     "OrderExtensionResult",
@@ -99,7 +96,6 @@ __all__ = [
     "eval_xor_list",
     "evaluate",
     "extend_order",
-    "feasible",
     "find_certificate",
     "flip_at",
     "format_table",

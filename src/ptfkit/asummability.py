@@ -34,11 +34,12 @@ from .ptf import PTF, is_threshold
 MAX_SEARCH_VARS = 6
 MAX_REPORT_VARS = 4
 
-# The search gathers the n coordinates of every point of every multiset it
-# enumerates, so time and memory grow with the count of those entries.  At
-# this cap a search takes about 1 s and 350 MB of peak RSS on a 2-CPU
-# x86_64 VM (0.9 s and 319 MB for k <= 5 over a 26/38 split of the n = 6
-# points, 0.7 s and 328 MB for k <= 6 over a 5/27 split at n = 5).
+# The search enumerates every size-2..m multiset of true and of false
+# points, so time and memory grow with the count of the vector entries
+# those multisets hold.  At this cap a search takes about 0.5 s and 100 MB
+# of peak RSS on a 2-CPU x86_64 VM (0.3 s and 91 MB for k <= 5 over a 26/38
+# split of the n = 6 points, 0.45 s and 100 MB for k <= 6 over a 5/27
+# split at n = 5).
 MAX_SEARCH_CELLS = 1 << 25
 
 
@@ -69,15 +70,21 @@ class SummabilityCertificate:
 
 
 def _multiset_sums(vectors: np.ndarray, k: int, base: int) -> tuple[np.ndarray, np.ndarray]:
-    """Encoded componentwise sums of all size-k multisets, in lex order."""
+    """Encoded componentwise sums of all size-k multisets, in lex order.
+
+    The encoding is linear, so a multiset's key is the sum of its points'
+    keys, added one multiset column at a time.
+    """
     count = vectors.shape[0]
     combos = np.fromiter(
         chain.from_iterable(combinations_with_replacement(range(count), k)),
         dtype=np.int64,
     ).reshape(-1, k)
-    sums = vectors[combos].sum(axis=1)
-    powers = base ** np.arange(vectors.shape[1], dtype=np.int64)
-    return combos, sums @ powers
+    point_keys = vectors @ base ** np.arange(vectors.shape[1], dtype=np.int64)
+    keys = point_keys[combos[:, 0]]
+    for j in range(1, k):
+        keys += point_keys[combos[:, j]]
+    return combos, keys
 
 
 def find_certificate(f: TruthTable, m: int) -> SummabilityCertificate | None:

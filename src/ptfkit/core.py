@@ -26,12 +26,17 @@ InputVector = tuple[int, ...]
 
 @dataclass(frozen=True)
 class TruthTable:
-    """The full output table of a Boolean function on B^n."""
+    """The full output table of a Boolean function on B^n.
+
+    ``bits`` is stored as a tuple whatever sequence is passed, so equal
+    tables compare equal and hash alike.
+    """
 
     n: int
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "bits", tuple(self.bits))
         if not 1 <= self.n <= MAX_VARS:
             raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {self.n}")
         if len(self.bits) != 1 << self.n:
@@ -80,8 +85,8 @@ def from_bits(bits) -> TruthTable:
     """Build a table from any bit sequence of length 2^n."""
     bits = tuple(int(b) for b in bits)
     n = len(bits).bit_length() - 1
-    if 1 << n != len(bits):
-        raise ValueError(f"bit sequence length {len(bits)} is not a power of two")
+    if n < 1 or 1 << n != len(bits):
+        raise ValueError(f"bit sequence length {len(bits)} is not 2^n for some n >= 1")
     return TruthTable(n, bits)
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from . import lp
 from .core import InputVector, TruthTable, all_vectors, flip_at, index_of, minterms, xor
 from .errors import DimensionMismatch, PreconditionError
-from .ptf import PTF, _order_and_ray, _realization_lp, is_threshold, order, truth_table
+from .ptf import PTF, _climb, _realization_lp, is_threshold, order, truth_table
 
 # A probe solves at most two LPs over 2^n rows; keep enumeration at desk scale.
 MAX_PROBE_VARS = 6
@@ -63,17 +63,16 @@ def _probe(
     f = flip_at(g, Y)
     s = r
     if r >= 1:
-        _, A, b = _realization_lp(f, r - 1)
+        A, b = _realization_lp(f, r - 1)
         if ray[index_of(Y)]:
-            if lp.decide(A, b):
+            if lp.feasible(A, b).feasible:
                 s = r - 1
         elif not lp._is_farkas_ray(A, b, ray):
             raise AssertionError(
                 f"g's Farkas ray at degree {r - 1} does not refute the flip at {Y}"
             )
     if s == r and r < g.n:
-        _, A, b = _realization_lp(f, r)
-        if not lp.decide(A, b):
+        if not lp.feasible(*_realization_lp(f, r)).feasible:
             s = r + 1
     return None if s == r else HighOrderVectorResult(tuple(Y), r, s)
 
@@ -83,7 +82,8 @@ def is_high_order_vector(g: TruthTable, Y: InputVector) -> HighOrderVectorResult
     if len(Y) != g.n:
         raise DimensionMismatch(f"vector has {len(Y)} entries, function has {g.n} variables")
     _check_probe_size(g)
-    return _probe(g, *_order_and_ray(g), Y)
+    r, _, ray = _climb(g)
+    return _probe(g, r, ray, Y)
 
 
 def high_order_search(g: TruthTable) -> tuple[int, list[HighOrderVectorResult]]:
@@ -93,7 +93,7 @@ def high_order_search(g: TruthTable) -> tuple[int, list[HighOrderVectorResult]]:
     per flip point.
     """
     _check_probe_size(g)
-    r, ray = _order_and_ray(g)
+    r, _, ray = _climb(g)
     results = []
     for Y in all_vectors(g.n):
         hit = _probe(g, r, ray, Y)

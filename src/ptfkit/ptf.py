@@ -135,28 +135,37 @@ def _monomial_matrix(n: int, d: int):
 
 
 def _realization_lp(f: TruthTable, d: int):
-    """The degree-d realizability LP of f as ``(monomials, A, b)``.
+    """The degree-d realizability LP of f as ``(A, b)``.
 
-    One row ``A x <= b`` per input over the monomial weights then theta:
-    ``theta - G(X) <= 0`` at a true input, ``G(X) - theta <= -1`` at a
-    false one.
+    One row ``A x <= b`` per input, in table-index order, over the
+    degree-<=d monomial weights (in :func:`monomials_up_to` order) then
+    theta: ``theta - G(X) <= 0`` at a true input, ``G(X) - theta <= -1``
+    at a false one.
     """
     if f.n > MAX_LP_VARS:
         raise PreconditionError(f"realizability LP capped at n <= {MAX_LP_VARS}, got {f.n}")
     if not 0 <= d <= f.n:
         raise PreconditionError(f"degree must be in 0..{f.n}, got {d}")
-    mons, M = _monomial_matrix(f.n, d)
-    nm = len(mons)
+    _, M = _monomial_matrix(f.n, d)
+    nm = M.shape[1]
     true_row = np.array(f.bits, dtype=np.int64) == 1
     A = np.empty((f.size, nm + 1), dtype=np.int64)
     A[:, :nm] = np.where(true_row[:, None], -M, M)
     A[:, nm] = np.where(true_row, 1, -1)
     b = np.where(true_row, 0, -1)
-    return mons, A, b
+    return A, b
 
 
-def _ptf_of(n: int, mons, witness) -> PTF:
-    return PTF(n, dict(zip(mons, witness)), witness[-1])
+def _witness(proof) -> list[Fraction]:
+    """The point ``x / t`` of re-checked phase-1 multipliers ``(x, t)``."""
+    x, t = proof
+    return [Fraction(v, t) for v in x]
+
+
+def _ptf_of(n: int, d: int, proof) -> PTF:
+    """The PTF whose degree-d weights then theta are the witness of ``proof``."""
+    w = _witness(proof)
+    return PTF(n, dict(zip(_monomial_matrix(n, d)[0], w)), w[-1])
 
 
 def realize_at_degree(f: TruthTable, d: int) -> PTF | None:
@@ -165,43 +174,34 @@ def realize_at_degree(f: TruthTable, d: int) -> PTF | None:
     One LP over the degree-<=d monomial weights and theta; deterministic
     for a fixed table.
     """
-    mons, A, b = _realization_lp(f, d)
-    res = lp.feasible_le_int(A, b)
-    if not res.feasible:
-        return None
-    return _ptf_of(f.n, mons, res.witness)
+    ok, proof = lp.feasible(*_realization_lp(f, d))
+    return _ptf_of(f.n, d, proof) if ok else None
 
 
 def minimal_realization(f: TruthTable) -> tuple[int, PTF]:
     """The order of f with the realization :func:`realize_at_degree` gives there."""
-    for d in range(f.n + 1):
-        p = realize_at_degree(f, d)
-        if p is not None:
-            return d, p
-    raise AssertionError("every function is realizable at degree n")
+    r, proof, _ = _climb(f)
+    return r, _ptf_of(f.n, r, proof)
 
 
 def order(f: TruthTable) -> int:
-    """Smallest degree at which f is realizable (0 iff f is constant).
-
-    Decides degree 0, 1, ... by :func:`lp.solve`, each with a re-checked
-    proof, without building a witness.
-    """
-    return _order_and_ray(f)[0]
+    """Smallest degree at which f is realizable (0 iff f is constant)."""
+    return _climb(f)[0]
 
 
-def _order_and_ray(f: TruthTable) -> tuple[int, list[int] | None]:
-    """The order r of f and the re-checked Farkas ray of its degree r-1 LP.
+def _climb(f: TruthTable) -> tuple[int, tuple[list[int], int], list[int] | None]:
+    """The order r of f, the multipliers ``(x, t)`` at r and the Farkas ray at r-1.
 
-    The ray (one entry per table index, None at r = 0) is the proof the
-    climb already holds when degree r-1 fails, so it costs no extra LP.
+    Decides degree 0, 1, ... by :func:`lp.feasible`, each with a
+    re-checked proof, and stops at the first feasible degree.  The ray
+    (one entry per table index, None at r = 0) is the proof the climb
+    already holds when degree r-1 fails, so it costs no extra LP.
     """
     ray = None
     for d in range(f.n + 1):
-        _, A, b = _realization_lp(f, d)
-        feasible, proof = lp.solve(A, b)
-        if feasible:
-            return d, ray
+        ok, proof = lp.feasible(*_realization_lp(f, d))
+        if ok:
+            return d, proof, ray
         ray = proof
     raise AssertionError("every function is realizable at degree n")
 
@@ -277,28 +277,15 @@ def share_weights(
     """
     if f.n != g.n:
         raise DimensionMismatch(f"operands have {f.n} and {g.n} variables")
-    if f.n > MAX_LP_VARS:
-        raise PreconditionError(f"shared-weight LP capped at n <= {MAX_LP_VARS}, got {f.n}")
+    # each table's degree-1 rows, with a zero column for the other's theta
     n = f.n
-    _, M = _monomial_matrix(n, 1)
-    rows = []
-    rhs = []
-    for table, theta_col in ((f, n), (g, n + 1)):
-        for i in range(table.size):
-            row = np.zeros(n + 2, dtype=np.int64)
-            if table.bits[i]:
-                row[:n] = -M[i]
-                row[theta_col] = 1
-                rhs.append(0)
-            else:
-                row[:n] = M[i]
-                row[theta_col] = -1
-                rhs.append(-1)
-            rows.append(row)
-    res = lp.feasible_le_int(np.array(rows), np.array(rhs))
-    if not res.feasible:
+    Af, bf = _realization_lp(f, 1)
+    Ag, bg = _realization_lp(g, 1)
+    A = np.vstack([np.insert(Af, n + 1, 0, axis=1), np.insert(Ag, n, 0, axis=1)])
+    ok, proof = lp.feasible(A, np.concatenate([bf, bg]))
+    if not ok:
         return None
-    w = res.witness
+    w = _witness(proof)
     weights = {(i + 1,): w[i] for i in range(n) if w[i]}
     return weights, w[n], w[n + 1]
 

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: threshold
 functions are enumerated by trying every small integer weight/threshold
-combination, certificates by direct multiset enumeration, and LP systems
-by scanning integer grid points or by a plain full-tableau simplex.
+combination, certificates by direct multiset enumeration, LP systems by
+scanning integer grid points or by a plain full-tableau simplex, and the
+shared-weight LP by a row-by-row encoder.
 """
 
 from __future__ import annotations
@@ -47,21 +48,38 @@ def naive_certificate_exists(bits, n: int, m: int) -> bool:
     return False
 
 
-def integer_point_satisfies(constraints, point) -> bool:
-    for c in constraints:
-        value = sum(Fraction(a) * v for a, v in zip(c.coeffs, point))
-        ok = value >= c.rhs if c.relation == ">=" else value <= c.rhs
-        if not ok:
-            return False
-    return True
-
-
-def find_integer_point(constraints, nvars: int, bound: int):
-    """First integer point in [-bound, bound]^nvars satisfying the system."""
-    for point in product(range(-bound, bound + 1), repeat=nvars):
-        if integer_point_satisfies(constraints, point):
+def find_integer_point(A, b, bound: int):
+    """First integer point in [-bound, bound]^nvars with ``A x <= b``."""
+    rows = [([int(v) for v in row], int(r)) for row, r in zip(A, b)]
+    for point in product(range(-bound, bound + 1), repeat=len(rows[0][0])):
+        if all(sum(a * x for a, x in zip(row, point)) <= r for row, r in rows):
             return point
     return None
+
+
+def share_weights_system(f, g):
+    """The shared-weight LP of f and g, built row by row as ``(A, b)``.
+
+    Columns are the n degree-1 weights, f's theta, then g's theta; rows are
+    f's inputs, then g's, in table-index order: ``theta - w.X <= 0`` at a
+    true input and ``w.X - theta <= -1`` at a false one.
+    """
+    n = f.n
+    rows, rhs = [], []
+    for table, theta_col in ((f, n), (g, n + 1)):
+        for i, bit in enumerate(table.bits):
+            X = [(i >> j) & 1 for j in range(n)]
+            row = [0] * (n + 2)
+            if bit:
+                row[:n] = [-x for x in X]
+                row[theta_col] = 1
+                rhs.append(0)
+            else:
+                row[:n] = X
+                row[theta_col] = -1
+                rhs.append(-1)
+            rows.append(row)
+    return np.array(rows, dtype=np.int64), np.array(rhs, dtype=np.int64)
 
 
 def full_tableau_solve(A, b, nvars: int):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 
 from ptfkit import (
@@ -61,6 +63,21 @@ def test_search_cap_holds_even_when_a_small_k_would_find_a_certificate():
     assert find_certificate(parity6, 2) is not None
     with pytest.raises(PreconditionError, match="cap"):
         find_certificate(parity6, 6)
+
+
+def test_multiset_keys_encode_the_summed_vectors():
+    # the per-point keys are summed column by column; the reference sums
+    # each multiset's vectors first and encodes the sum
+    rng = random.Random(9)
+    for n, count, k in ((2, 3, 2), (3, 5, 3), (4, 6, 4), (6, 7, 5)):
+        vectors = np.array([[rng.getrandbits(1) for _ in range(n)] for _ in range(count)])
+        combos, keys = asummability._multiset_sums(vectors, k, base=k + 1)
+        expected = list(combinations_with_replacement(range(count), k))
+        assert combos.tolist() == [list(c) for c in expected]
+        assert keys.tolist() == [
+            sum(int(sum(vectors[j][i] for j in c)) * (k + 1) ** i for i in range(n))
+            for c in expected
+        ]
 
 
 def test_downward_monotonicity():

@@ -305,16 +305,16 @@ def test_module_entry_point(subprocess_env):
 
 def test_closed_stdout_exits_without_traceback(subprocess_env):
     # as in ``ptfkit --json analyze 0110 | head -1`` when the reader exits first
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "ptfkit.cli", "--json", "analyze", "0110"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
         cwd=TESTS_DIR,
         env=subprocess_env(),
-    )
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    assert proc.wait(timeout=60) == 0
+    ) as proc:
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
     assert "Traceback" not in stderr
     assert stderr == ""

@@ -147,3 +147,17 @@ def test_table_invariants_enforced():
         TruthTable(0, ())
     with pytest.raises(ValueError):
         TruthTable(1, (0, 2))
+
+
+def test_table_from_a_list_equals_and_hashes_like_the_parsed_table():
+    f = TruthTable(2, [0, 1, 1, 0])
+    assert f == parse_table("0110") == XOR2
+    assert f.bits == (0, 1, 1, 0)
+    assert hash(f) == hash(XOR2)
+    assert len({f, XOR2, TruthTable(2, iter((0, 1, 1, 0)))}) == 1
+
+
+def test_from_bits_rejects_an_empty_or_single_bit_sequence():
+    for bits in ([], [1]):
+        with pytest.raises(ValueError, match="not 2\\^n for some n >= 1"):
+            from_bits(bits)

@@ -97,14 +97,14 @@ def test_probes_match_climbing_order_on_sampled_n4_tables():
 
 def test_a_probe_solves_at_most_two_lps(monkeypatch):
     solves = 0
-    real_solve = lp.solve
+    real_feasible = lp.feasible
 
-    def counting_solve(A, b):
+    def counting_feasible(A, b):
         nonlocal solves
         solves += 1
-        return real_solve(A, b)
+        return real_feasible(A, b)
 
-    monkeypatch.setattr(lp, "solve", counting_solve)
+    monkeypatch.setattr(lp, "feasible", counting_feasible)
     for n in (2, 3):
         for g in all_tables(n):
             solves = 0
@@ -114,12 +114,12 @@ def test_a_probe_solves_at_most_two_lps(monkeypatch):
 
 
 def test_forged_reused_ray_raises(monkeypatch):
-    r, ray = highorder._order_and_ray(AND2)
+    r, proof, ray = highorder._climb(AND2)
     zeros = [i for i, y in enumerate(ray) if y == 0]
     assert r == 1 and len(zeros) >= 2
     forged = list(ray)
     forged[zeros[0]] = 1
-    monkeypatch.setattr(highorder, "_order_and_ray", lambda g: (r, forged))
+    monkeypatch.setattr(highorder, "_climb", lambda g: (r, proof, forged))
     with pytest.raises(AssertionError, match="Farkas ray"):
         high_order_search(AND2)
     with pytest.raises(AssertionError, match="Farkas ray"):

@@ -10,89 +10,107 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ptfkit import PTF, FeasibilityResult, LinearConstraint, feasible, lp, ptf
+from ptfkit import PTF, lp, ptf
 from ptfkit import _simplex
-from ptfkit.lp import feasible_le_int
 from conftest import all_tables
 from oracles import farkas_phase1_reference, find_integer_point, full_tableau_solve
 
 
-def c(coeffs, relation, rhs):
-    return LinearConstraint(tuple(Fraction(v) for v in coeffs), relation, Fraction(rhs))
+def _witness(res):
+    """The point ``x / t`` of a feasible result, None for an infeasible one."""
+    if not res.feasible:
+        return None
+    x, t = res.proof
+    return tuple(Fraction(v, t) for v in x)
+
+
+def _satisfies(A, b, point) -> bool:
+    return all(sum(a * v for a, v in zip(row, point)) <= r for row, r in zip(A, b))
+
+
+def _is_ray(A, b, y) -> bool:
+    """``y >= 0``, ``A^T y = 0`` and ``b^T y < 0``, in Python ints."""
+    cols = zip(*A)
+    return (
+        min(y) >= 0
+        and all(sum(int(a) * v for a, v in zip(col, y)) == 0 for col in cols)
+        and sum(int(r) * v for r, v in zip(b, y)) < 0
+    )
+
+
+def _checked(A, b):
+    """``lp.feasible`` with its proof checked here too; returns the result."""
+    A, b = np.array(A), np.array(b)
+    res = lp.feasible(A, b)
+    if res.feasible:
+        assert _satisfies(A.tolist(), b.tolist(), _witness(res))
+    else:
+        assert _is_ray(A.tolist(), b.tolist(), res.proof)
+    return res
 
 
 def test_contradictory_bounds_infeasible():
-    res = feasible([c([1], ">=", 1), c([1], "<=", 0)], 1)
-    assert res == FeasibilityResult(False, None)
+    # x >= 1 and x <= 0
+    ok, ray = _checked([[-1], [1]], [-1, 0])
+    assert not ok
+    assert ray == [1, 1]
 
 
 def test_interval_feasible():
-    res = feasible([c([1], ">=", 1), c([1], "<=", 2)], 1)
+    res = _checked([[-1], [1]], [-1, 2])
     assert res.feasible
-    (x,) = res.witness
+    (x,) = _witness(res)
     assert 1 <= x <= 2
 
 
 def test_empty_system_is_feasible_with_zero_witness():
-    res = feasible([], 3)
-    assert res.feasible
-    assert res.witness == (Fraction(0),) * 3
+    res = lp.feasible(np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.int64))
+    assert res == (True, ([0, 0, 0], 1))
+    assert _witness(res) == (Fraction(0),) * 3
 
 
 def test_and2_threshold_system():
     # weights w1, w2 and theta for the conjunction: one true row, three false
-    rows = [
-        c([-1, -1, 1], "<=", 0),   # w1 + w2 >= theta
-        c([0, 0, -1], "<=", -1),   # 0 <= theta - 1
-        c([1, 0, -1], "<=", -1),
-        c([0, 1, -1], "<=", -1),
+    A = [
+        [-1, -1, 1],   # w1 + w2 >= theta
+        [0, 0, -1],    # 0 <= theta - 1
+        [1, 0, -1],
+        [0, 1, -1],
     ]
-    res = feasible(rows, 3)
+    res = _checked(A, [0, -1, -1, -1])
     assert res.feasible
-    w1, w2, theta = res.witness
+    w1, w2, theta = _witness(res)
     assert w1 + w2 >= theta
     assert max(Fraction(0), w1, w2) <= theta - 1
 
 
-def test_rational_coefficients_cleared_exactly():
-    res = feasible([c([Fraction(1, 3), Fraction(1, 7)], ">=", Fraction(22, 21))], 2)
-    assert res.feasible
-    x, y = res.witness
-    assert x / 3 + y / 7 >= Fraction(22, 21)
+def _random_rows(rng, nvars, count, coeff, rhs):
+    return [[rng.randint(-coeff, coeff) for _ in range(nvars)] for _ in range(count)], [
+        rng.randint(-rhs, rhs) for _ in range(count)
+    ]
 
 
 def test_scale_invariance_on_random_systems():
     rng = random.Random(1234)
     for _ in range(40):
         nvars = rng.randint(1, 3)
-        rows = []
-        for _ in range(rng.randint(1, 6)):
-            coeffs = [rng.randint(-4, 4) for _ in range(nvars)]
-            rows.append(c(coeffs, rng.choice([">=", "<="]), rng.randint(-5, 5)))
-        base = feasible(rows, nvars).feasible
-        scaled = []
-        for row in rows:
-            s = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-            scaled.append(
-                LinearConstraint(tuple(s * v for v in row.coeffs), row.relation, s * row.rhs)
-            )
-        assert feasible(scaled, nvars).feasible == base
+        A, b = _random_rows(rng, nvars, rng.randint(1, 6), 4, 5)
+        base = _checked(A, b).feasible
+        scales = [rng.randint(1, 9) for _ in b]
+        scaled_A = [[s * v for v in row] for s, row in zip(scales, A)]
+        scaled_b = [s * v for s, v in zip(scales, b)]
+        assert _checked(scaled_A, scaled_b).feasible == base
 
 
 def test_agreement_with_integer_point_search():
     rng = random.Random(777)
     for _ in range(120):
         nvars = rng.randint(1, 3)
-        rows = []
-        for _ in range(rng.randint(1, 5)):
-            coeffs = [rng.randint(-3, 3) for _ in range(nvars)]
-            rows.append(c(coeffs, rng.choice([">=", "<="]), rng.randint(-4, 4)))
-        point = find_integer_point(rows, nvars, bound=6)
-        res = feasible(rows, nvars)
+        A, b = _random_rows(rng, nvars, rng.randint(1, 5), 3, 4)
+        point = find_integer_point(A, b, bound=6)
+        res = _checked(A, b)
         if point is not None:
             assert res.feasible, f"integer point {point} exists but LP said infeasible"
-        if res.feasible:
-            assert all(row.satisfied_by(res.witness) for row in rows)
 
 
 def test_feasible_by_construction_systems():
@@ -100,18 +118,19 @@ def test_feasible_by_construction_systems():
     rng = random.Random(4242)
     for _ in range(60):
         nvars = rng.randint(1, 4)
-        point = tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(nvars))
-        rows = []
+        point = [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(nvars)]
+        A, b = [], []
         for _ in range(rng.randint(1, 8)):
-            coeffs = [Fraction(rng.randint(-5, 5)) for _ in range(nvars)]
+            coeffs = [rng.randint(-5, 5) for _ in range(nvars)]
             value = sum(a * x for a, x in zip(coeffs, point))
             slack = Fraction(rng.randint(0, 6), rng.randint(1, 3))
-            if rng.random() < 0.5:
-                rows.append(LinearConstraint(tuple(coeffs), "<=", value + slack))
-            else:
-                rows.append(LinearConstraint(tuple(coeffs), ">=", value - slack))
-        res = feasible(rows, nvars)
-        assert res.feasible
+            # a row below its value plus slack, or (negated) above its value minus slack
+            sign = rng.choice((1, -1))
+            rhs = sign * value + slack
+            A.append([sign * rhs.denominator * a for a in coeffs])
+            b.append(rhs.numerator)
+        assert _satisfies(A, b, point)
+        assert _checked(A, b).feasible
 
 
 def _random_systems(seed: int, count: int):
@@ -144,11 +163,11 @@ def _farkas_proof(A, b):
     return False, tuple(Fraction(v, scale) for v in proof)
 
 
-def _reference_result(A, b, rule: str) -> FeasibilityResult:
-    """The result the Farkas reference proves, checked against the primal's verdict."""
+def _reference_result(A, b, rule: str):
+    """The verdict and witness the Farkas reference proves, checked against the primal's verdict."""
     feasible, proof = farkas_phase1_reference(A, b, rule)
     assert feasible == full_tableau_solve(A, b, A.shape[1])[0]
-    return FeasibilityResult(feasible, proof if feasible else None)
+    return feasible, proof if feasible else None
 
 
 def test_witnesses_match_full_tableau_reference_on_random_systems():
@@ -157,12 +176,11 @@ def test_witnesses_match_full_tableau_reference_on_random_systems():
     for A, b in _random_systems(31337, 400):
         # entries past the int64 guard start on the object rung, under Bland
         rule = "dantzig" if np.abs(A).max() <= _simplex._INT64_GUARD else "bland"
-        expected = _reference_result(A, b, rule)
-        assert feasible_le_int(A, b) == expected
-        assert lp.decide(A, b) == expected.feasible
+        res = lp.feasible(A, b)
+        assert (res.feasible, _witness(res)) == _reference_result(A, b, rule)
         assert _farkas_proof(A, b) == farkas_phase1_reference(A, b, rule)
-        # solve hands out the kernel's proof once it has passed its check
-        assert lp.solve(A, b) == _simplex.solve_free_le(A, b)
+        # feasible hands out the kernel's proof once it has passed its check
+        assert res == _simplex.solve_free_le(A, b)
 
 
 def test_witnesses_match_full_tableau_reference_on_every_n3_table():
@@ -170,11 +188,11 @@ def test_witnesses_match_full_tableau_reference_on_every_n3_table():
         verdicts = []
         for d in range(4):
             mons, A, b = _realization_system(f, d)
-            ref = _reference_result(A, b, "dantzig")
-            w = ref.witness
-            expected = PTF(3, dict(zip(mons, w)), w[-1]) if ref.feasible else None
+            assert all(np.array_equal(u, v) for u, v in zip(ptf._realization_lp(f, d), (A, b)))
+            ok, w = _reference_result(A, b, "dantzig")
+            expected = PTF(3, dict(zip(mons, w)), w[-1]) if ok else None
             assert ptf.realize_at_degree(f, d) == expected
-            assert lp.decide(A, b) == ref.feasible
+            assert lp.feasible(A, b).feasible == ok
             assert _farkas_proof(A, b) == farkas_phase1_reference(A, b, "dantzig")
             verdicts.append(expected)
         r = ptf.order(f)
@@ -193,7 +211,7 @@ def test_witnesses_match_full_tableau_reference_on_every_n3_table():
 )
 def test_farkas_overflow_mid_solve_restarts_on_object_dtype(A, b, monkeypatch):
     A, b = np.array(A), np.array(b)
-    before = feasible_le_int(A, b)
+    before = lp.feasible(A, b)
     seen = []
     loop = _simplex._pivot_loop_numpy
 
@@ -207,15 +225,15 @@ def test_farkas_overflow_mid_solve_restarts_on_object_dtype(A, b, monkeypatch):
     T0 = _simplex._build_tableau(A, b, np.int64)[0]
     monkeypatch.setattr(_simplex, "_INT64_GUARD", int(np.abs(T0).max()))
     monkeypatch.setattr(_simplex, "_pivot_loop_numpy", spy)
-    after = feasible_le_int(A, b)
+    after = lp.feasible(A, b)
     status = _simplex.FEASIBLE if before.feasible else _simplex.INFEASIBLE
     assert seen == [
         (np.int64, True, _simplex.OVERFLOW, True),
         (np.int64, False, _simplex.OVERFLOW, True),
         (object, False, status, True),
     ]
-    assert before == _reference_result(A, b, "dantzig")
-    assert after == _reference_result(A, b, "bland")
+    assert (before.feasible, _witness(before)) == _reference_result(A, b, "dantzig")
+    assert (after.feasible, _witness(after)) == _reference_result(A, b, "bland")
 
 
 # Reversing the rows of this n=7 table's degree-3 LP (its order is 3) makes
@@ -224,8 +242,8 @@ _CYCLING_LP = """
 from ptfkit import TruthTable, lp, ptf
 code = int("c493145e679b9e1ec0c29f21b234ae9c", 16)
 f = TruthTable(7, tuple((code >> i) & 1 for i in range(128)))
-_, A, b = ptf._realization_lp(f, 3)
-print(lp.decide(A[::-1], b[::-1]))
+A, b = ptf._realization_lp(f, 3)
+print(lp.feasible(A[::-1], b[::-1]).feasible)
 """
 
 
@@ -258,36 +276,24 @@ _GAP = (np.array([[1], [-1]]), np.array([1, -2]))
 )
 def test_bad_proofs_raise(system, forged, monkeypatch):
     A, b = system
-    assert feasible_le_int(A, b).feasible == (system is _INTERVAL)
+    assert lp.feasible(A, b).feasible == (system is _INTERVAL)
     for name, fake in forged.items():
         monkeypatch.setattr(_simplex, name, fake)
-    for entry in (lp.solve, lp.decide, feasible_le_int):
-        with pytest.raises(AssertionError):
-            entry(A, b)
+    with pytest.raises(AssertionError):
+        lp.feasible(A, b)
 
 
 def test_overflow_falls_back_to_exact_path():
     # coefficients near 2**40 exceed the int64 pivot guard up front
     big = 1 << 40
-    res = feasible([c([big, 1], ">=", big + 5), c([big, 1], "<=", big + 7)], 2)
+    res = _checked([[-big, -1], [big, 1]], [-(big + 5), big + 7])
     assert res.feasible
-    x, y = res.witness
-    assert big * x + y >= big + 5
-    assert big * x + y <= big + 7
-    res = feasible([c([big], ">=", 1), c([big], "<=", 0)], 1)
-    assert not res.feasible
+    x, y = _witness(res)
+    assert big + 5 <= big * x + y <= big + 7
+    assert not _checked([[-big], [big]], [-1, 0]).feasible
 
 
 def test_systems_without_variables_compare_the_right_hand_side():
-    assert feasible([c([], "<=", 1)], 0) == FeasibilityResult(True, ())
-    assert feasible([c([], "<=", 1), c([], ">=", 2)], 0) == FeasibilityResult(False, None)
-
-
-def test_validates_coefficient_count():
-    with pytest.raises(ValueError):
-        feasible([c([1, 2], "<=", 0)], 3)
-
-
-def test_relation_validated():
-    with pytest.raises(ValueError):
-        LinearConstraint((Fraction(1),), "<", Fraction(0))
+    empty = np.zeros((1, 0), dtype=np.int64)
+    assert lp.feasible(empty, np.array([1])) == (True, ([], 1))
+    assert lp.feasible(np.zeros((2, 0), dtype=np.int64), np.array([1, -2])) == (False, [0, 1])

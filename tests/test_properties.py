@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from io import StringIO
 
 import numpy as np
@@ -17,11 +18,11 @@ from ptfkit import (
     XorList,
     cli,
     format_table,
+    lp,
     parse_table,
     truth_table,
     xor,
 )
-from ptfkit.lp import decide, feasible_le_int
 from ptfkit.multithreshold import (
     shared_weight_from_json,
     shared_weight_to_json,
@@ -49,10 +50,12 @@ def small_systems(draw):
 @given(small_systems())
 def test_decide_primal_and_reference_agree(system):
     A, b, nvars = system
-    res = feasible_le_int(A, b)
+    res, proof = lp.feasible(A, b)
     ok, witness = farkas_phase1_reference(A, b, "dantzig")
-    assert decide(A, b) == res.feasible == ok == full_tableau_solve(A, b, nvars)[0]
-    assert res.witness == (witness if ok else None)
+    assert res == ok == full_tableau_solve(A, b, nvars)[0]
+    if ok:
+        x, t = proof
+        assert tuple(Fraction(v, t) for v in x) == witness
 
 
 @DERANDOMIZED

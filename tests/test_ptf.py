@@ -24,8 +24,10 @@ from ptfkit import (
     vector_at,
     xor,
 )
-from ptfkit.ptf import evaluate, format_ptf_text, parse_ptf_text, weighted_sum
+from ptfkit import lp
+from ptfkit.ptf import MAX_LP_VARS, evaluate, format_ptf_text, parse_ptf_text, weighted_sum
 from conftest import AND2, CONST0_2, CONST1_2, OR2, XOR2, XOR3, all_tables, parity_table
+from oracles import share_weights_system
 
 XOR2_PTF = PTF(2, {(1,): 1, (2,): 1, (1, 2): -2}, 1)
 
@@ -205,6 +207,57 @@ def test_share_weights_examples():
 def test_share_weights_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         share_weights(OR2, const(3, 1))
+
+
+def test_share_weights_cap():
+    big = const(MAX_LP_VARS + 1, 0)
+    with pytest.raises(PreconditionError):
+        share_weights(big, big)
+
+
+def _seeded_pairs(count: int):
+    """Half the pairs sweep one random weight vector, so they share weights."""
+    rng = random.Random(2024)
+    for k in range(count):
+        n = rng.choice((3, 4))
+        if k % 2:
+            w = [rng.randint(-3, 3) for _ in range(n)]
+            sums = [sum(w[j] for j in range(n) if i >> j & 1) for i in range(1 << n)]
+            f, g = (
+                TruthTable(n, tuple(int(s >= theta) for s in sums))
+                for theta in (rng.randint(-5, 5), rng.randint(-5, 5))
+            )
+        else:
+            f, g = (TruthTable(n, tuple(rng.getrandbits(1) for _ in range(1 << n))) for _ in "fg")
+        yield f, g
+
+
+def _assert_shares_as_row_by_row_reference(pairs) -> int:
+    """share_weights against the solve of the reference system; counts shared pairs."""
+    shared_count = 0
+    for f, g in pairs:
+        shared = share_weights(f, g)
+        ok, proof = lp.feasible(*share_weights_system(f, g))
+        if not ok:
+            assert shared is None
+            continue
+        x, t = proof
+        w = [Fraction(v, t) for v in x]
+        assert shared == ({(i + 1,): w[i] for i in range(f.n) if w[i]}, w[f.n], w[f.n + 1])
+        weights, theta_f, theta_g = shared
+        assert truth_table(PTF(f.n, weights, theta_f)) == f
+        assert truth_table(PTF(f.n, weights, theta_g)) == g
+        shared_count += 1
+    return shared_count
+
+
+def test_share_weights_matches_row_by_row_reference_on_every_n2_pair():
+    tables = list(all_tables(2))
+    assert _assert_shares_as_row_by_row_reference((f, g) for f in tables for g in tables) > 0
+
+
+def test_share_weights_matches_row_by_row_reference_on_seeded_pairs():
+    assert _assert_shares_as_row_by_row_reference(_seeded_pairs(300)) >= 150
 
 
 def test_ptf_text_round_trip():
