@@ -22,9 +22,9 @@ import time
 from pathlib import Path
 
 from . import asummability, highorder, multithreshold, ptf
-from .core import TruthTable, format_table, parse_table
+from .core import format_table, parse_table
 from .errors import ParseError, PreconditionError
-from .ptf import PTF, format_fraction
+from .ptf import PTF, format_fraction, format_monomial
 
 
 def _parse_vector(text: str, n: int) -> tuple[int, ...]:
@@ -45,13 +45,9 @@ def _read_text(path: str) -> str:
 
 def _ptf_json(p: PTF) -> dict:
     return {
-        "coeffs": {"+".join(map(str, m)): format_fraction(c) for m, c in p.coeffs.items()},
+        "coeffs": {format_monomial(m): format_fraction(c) for m, c in p.coeffs.items()},
         "theta": format_fraction(p.theta),
     }
-
-
-def _table_json(t: TruthTable) -> str:
-    return format_table(t)
 
 
 def cmd_analyze(args) -> dict:
@@ -81,9 +77,9 @@ def cmd_reduce(args) -> dict:
     red = highorder.order_reduce(g, Y)
     return {
         "Y": list(red.Y),
-        "f2": _table_json(red.f2),
+        "f2": format_table(red.f2),
         "f2_witness": _ptf_json(red.f2_witness),
-        "f1": _table_json(red.f1),
+        "f1": format_table(red.f1),
         "f1_witness": _ptf_json(red.f1_witness),
     }
 
@@ -94,10 +90,10 @@ def cmd_extend(args) -> dict:
     p2 = ptf.parse_ptf_text(_read_text(args.f2), n=f_n.n)
     ext = multithreshold.extend_order(f_n, p1, p2)
     return {
-        "f_next": _table_json(ext.f_next),
-        "g_next": _table_json(ext.g_next),
-        "f1_next": _table_json(ext.f1_next),
-        "f2_next": _table_json(ext.f2_next),
+        "f_next": format_table(ext.f_next),
+        "g_next": format_table(ext.g_next),
+        "f1_next": format_table(ext.f1_next),
+        "f2_next": format_table(ext.f2_next),
         "witness": multithreshold.shared_weight_to_json(ext.witness),
     }
 
@@ -131,7 +127,7 @@ def cmd_family(args) -> dict:
         "n": n,
         "levels": [format_fraction(v) for v in fam.levels],
         "members": [
-            {"theta": format_fraction(t), "table": _table_json(tab)} for t, tab in fam.members
+            {"theta": format_fraction(t), "table": format_table(tab)} for t, tab in fam.members
         ],
     }
 

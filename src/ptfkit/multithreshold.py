@@ -7,10 +7,10 @@ thresholds; the output at X is the parity of how many thresholds the
 weighted sum meets, i.e. 0 below the first threshold and flipping at each
 one.  A plain threshold function is exactly the k=1 case.
 
-Synthesis searches small integer weight boxes: a weight vector works iff
-the function is constant on every level set of its weighted sum, and the
-minimal thresholds are then read off the output switches along the sorted
-levels.
+Synthesis tabulates every weight vector of a small integer box at once,
+by one subset-sum transform: a vector works iff the function is constant
+on every level set of its weighted sum, and the minimal thresholds are
+then read off the output switches along the sorted levels.
 
 Order extension lifts an n-variable function f, given as the XOR of two
 same-weight threshold realizations, to the (n+1)-variable function that
@@ -22,23 +22,25 @@ unreachable without it and exactly restore the original pair with it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import product
+from math import ceil
 
-from .core import (
-    InputVector,
-    TruthTable,
-    all_vectors,
-    compose_by_variable,
-    const,
-    xor,
-)
+import numpy as np
+
+from .core import InputVector, TruthTable, compose_by_variable, const, xor
 from .errors import DimensionMismatch, ParseError, PreconditionError
 from .ptf import (
     PTF,
     WeightMap,
     _normalize_weights,
+    _scaled_sums,
+    _subset_sums,
     format_fraction,
+    format_monomial,
     format_ptf_text,
     parse_fraction,
     parse_monomial,
@@ -119,19 +121,10 @@ def eval_shared_weight(rep: SharedWeight, X: InputVector) -> int:
 def to_truth_table(rep: MultithresholdRep) -> TruthTable:
     """Tabulate either representation over all 2^n inputs."""
     if isinstance(rep, XorList):
-        return TruthTable(rep.n, tuple(eval_xor_list(rep.members, X) for X in all_vectors(rep.n)))
-    return TruthTable(rep.n, tuple(eval_shared_weight(rep, X) for X in all_vectors(rep.n)))
-
-
-def _switch_thresholds(levels, outputs) -> list:
-    """Thresholds at the levels where the required output switches parity."""
-    thresholds = []
-    parity = 0
-    for v, out in zip(levels, outputs):
-        if out != parity:
-            thresholds.append(v)
-            parity ^= 1
-    return thresholds
+        return reduce(xor, map(truth_table, rep.members))
+    sums, scale = _scaled_sums(rep.weights, rep.n)
+    cuts = [ceil(t * scale) for t in rep.thresholds]
+    return TruthTable(rep.n, tuple(bisect_right(cuts, g) & 1 for g in sums))
 
 
 def _weight_search_order(bound: int) -> list[int]:
@@ -162,36 +155,26 @@ def synthesize_shared_weight(
         )
     if k_max < 0:
         raise PreconditionError(f"threshold budget must be >= 0, got {k_max}")
-    inputs = all_vectors(f.n)
-    candidates = _weight_search_order(weight_bound)
-    best: tuple[int, tuple[int, ...], list[int]] | None = None
-
-    def scan(prefix: tuple[int, ...]) -> None:
-        nonlocal best
-        if len(prefix) < f.n:
-            for v in candidates:
-                scan(prefix + (v,))
-            return
-        by_level: dict[int, int] = {}
-        for X, bit in zip(inputs, f.bits):
-            g = sum(w * x for w, x in zip(prefix, X))
-            seen = by_level.get(g)
-            if seen is None:
-                by_level[g] = bit
-            elif seen != bit:
-                return
-        levels = sorted(by_level)
-        thresholds = _switch_thresholds(levels, [by_level[v] for v in levels])
-        k = len(thresholds)
-        if k <= k_max and (best is None or k < best[0]):
-            best = (k, prefix, thresholds)
-
-    scan(())
-    if best is None:
+    # one row of weighted sums per candidate: |G| <= MAX_SYNTH_BOUND *
+    # MAX_SYNTH_VARS, so int64 is exact
+    candidates = np.array(list(product(_weight_search_order(weight_bound), repeat=f.n)))
+    G = np.zeros((len(candidates), f.size), dtype=np.int64)
+    G[:, 1 << np.arange(f.n)] = candidates
+    _subset_sums(G)
+    by_level = np.argsort(G, axis=1, kind="stable")
+    levels = np.take_along_axis(G, by_level, axis=1)
+    outputs = np.array(f.bits, dtype=np.int8)[by_level]
+    # a switch is where the output changes along the sorted sums, counting
+    # a 1 at the lowest level; a row qualifies if none falls inside a level
+    switches = np.diff(outputs, axis=1, prepend=0) != 0
+    mixed = (switches[:, 1:] & (levels[:, 1:] == levels[:, :-1])).any(axis=1)
+    k = np.where(mixed, f.size + 1, switches.sum(axis=1))
+    best = int(np.argmin(k))
+    if k[best] > k_max:
         return None
-    _, w, thresholds = best
-    weights = {(i + 1,): Fraction(v) for i, v in enumerate(w) if v}
-    rep = SharedWeight(f.n, weights, tuple(Fraction(t) for t in thresholds))
+    weights = {(i + 1,): Fraction(int(v)) for i, v in enumerate(candidates[best]) if v}
+    thresholds = tuple(Fraction(int(t)) for t in levels[best, switches[best]])
+    rep = SharedWeight(f.n, weights, thresholds)
     if to_truth_table(rep) != f:
         raise AssertionError("synthesized representation failed table re-check")
     return rep
@@ -250,7 +233,8 @@ def extend_order(f_n: TruthTable, f1, f2) -> OrderExtensionResult:
     if f_next != compose_by_variable(const(n, 0), f_n):
         raise AssertionError("extension must be 0 at x_{n+1}=0 and f at x_{n+1}=1")
 
-    g_max = max(weighted_sum(weights, X) for X in all_vectors(n))
+    sums, scale = _scaled_sums(weights, n)
+    g_max = Fraction(max(sums), scale)
     lift = g_max - min(theta1, theta2) + 1
     witness_weights = dict(weights)
     witness_weights[(n + 1,)] = lift
@@ -263,7 +247,7 @@ def extend_order(f_n: TruthTable, f1, f2) -> OrderExtensionResult:
 def shared_weight_to_json(rep: SharedWeight) -> dict:
     return {
         "n": rep.n,
-        "weights": {"+".join(map(str, m)): format_fraction(c) for m, c in rep.weights.items()},
+        "weights": {format_monomial(m): format_fraction(c) for m, c in rep.weights.items()},
         "thresholds": [format_fraction(t) for t in rep.thresholds],
     }
 

@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
-from math import lcm
+from math import ceil, lcm
 
 import numpy as np
 
 from . import lp
-from .core import MAX_VARS, InputVector, TruthTable, all_vectors
+from .core import MAX_VARS, InputVector, TruthTable
 from .errors import DimensionMismatch, ParseError, PreconditionError
 
 # LP systems have 2^n rows; keep realizability calls at desk scale.
@@ -104,9 +104,43 @@ def evaluate(p: PTF, X: InputVector) -> int:
     return 1 if eval_G(p, X) >= p.theta else 0
 
 
+def _mask(m: Monomial) -> int:
+    """Table index of the input whose true variables are exactly those of m."""
+    return sum(1 << (i - 1) for i in m)
+
+
+def _subset_sums(C):
+    """Subset-sum (zeta) transform along the last axis of C, in place.
+
+    The last axis has 2^n entries and C[..., _mask(m)] holds monomial m's
+    weight; afterwards C[..., idx(X)] holds G(X), the sum of the weights
+    of the monomials true at X.  C is a C-contiguous int64 or object array
+    of any leading shape, and is returned.
+    """
+    *lead, size = C.shape
+    for i in range(size.bit_length() - 1):
+        pairs = C.reshape(*lead, size >> (i + 1), 2, 1 << i)
+        pairs[..., 1, :] += pairs[..., 0, :]
+    return C
+
+
+def _scaled_sums(weights: WeightMap, n: int) -> tuple[list[int], int]:
+    """Each G(X) * scale as an exact int, by table index, and the scale.
+
+    ``scale`` is the common denominator of the weights.
+    """
+    scale = lcm(*(c.denominator for c in weights.values()))
+    G = np.zeros(1 << n, dtype=object)
+    for m, c in weights.items():
+        G[_mask(m)] = int(c * scale)
+    return _subset_sums(G).tolist(), scale
+
+
 def truth_table(p: PTF) -> TruthTable:
     """Tabulate p over all 2^n inputs."""
-    return TruthTable(p.n, tuple(evaluate(p, X) for X in all_vectors(p.n)))
+    sums, scale = _scaled_sums(p.coeffs, p.n)
+    cut = ceil(p.theta * scale)
+    return TruthTable(p.n, tuple(1 if g >= cut else 0 for g in sums))
 
 
 def monomials_up_to(n: int, d: int) -> list[Monomial]:
@@ -118,18 +152,9 @@ def monomials_up_to(n: int, d: int) -> list[Monomial]:
 def _monomial_matrix(n: int, d: int):
     """0/1 matrix of monomial values: rows are inputs, columns monomials."""
     mons = monomials_up_to(n, d)
-    idx = np.arange(1 << n, dtype=np.int64)
-    cols = []
-    for m in mons:
-        mask = 0
-        for i in m:
-            mask |= 1 << (i - 1)
-        cols.append((idx & mask) == mask)
-    M = (
-        np.stack(cols, axis=1).astype(np.int64)
-        if cols
-        else np.zeros((1 << n, 0), dtype=np.int64)
-    )
+    units = np.zeros((len(mons), 1 << n), dtype=np.int64)
+    units[np.arange(len(mons)), [_mask(m) for m in mons]] = 1
+    M = np.ascontiguousarray(_subset_sums(units).T)
     M.setflags(write=False)
     return tuple(mons), M
 
@@ -231,7 +256,8 @@ def same_weight_family(weights, n: int) -> SameWeightFamily:
 
     A threshold at each level value v yields the member with true set
     {G >= v}; one threshold above the top level yields the constant-0
-    function.  Members are totally ordered by pointwise implication.
+    function.  Members are totally ordered by pointwise implication.  The
+    levels come from one exact subset-sum transform (:func:`_subset_sums`).
 
     Preconditions: ``1 <= n <= MAX_FAMILY_VARS``, and the member tables
     hold at most ``MAX_FAMILY_CELLS`` entries in all; the second is checked
@@ -242,16 +268,7 @@ def same_weight_family(weights, n: int) -> SameWeightFamily:
     if not 1 <= n <= MAX_FAMILY_VARS:
         raise PreconditionError(f"same-weight family needs 1 <= n <= {MAX_FAMILY_VARS}, got {n}")
     weights = _normalize_weights(weights, n)
-    scale = lcm(*(c.denominator for c in weights.values()))
-    G = np.zeros(1 << n, dtype=object)
-    for m, c in weights.items():
-        G[sum(1 << (i - 1) for i in m)] = int(c * scale)
-    # Subset-sum (zeta) transform: G[idx(X)] becomes the sum of the weights
-    # of the monomials true at X.
-    for i in range(n):
-        pairs = G.reshape(-1, 2, 1 << i)
-        pairs[:, 1] += pairs[:, 0]
-    values = G.tolist()
+    values, scale = _scaled_sums(weights, n)
     cuts = sorted(set(values))
     if (len(cuts) + 1) << n > MAX_FAMILY_CELLS:
         raise PreconditionError(
@@ -309,9 +326,12 @@ def format_monomial(m: Monomial) -> str:
 
 def parse_monomial(text: str) -> Monomial:
     try:
-        return tuple(int(part) for part in text.strip().split("+"))
+        m = tuple(int(part) for part in text.strip().split("+"))
     except ValueError as exc:
         raise ParseError(f"invalid monomial {text!r}") from exc
+    if min(m) < 1:
+        raise ParseError(f"monomial {text.strip()!r} has a variable index below 1")
+    return m
 
 
 def format_ptf_text(p: PTF) -> str:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,15 @@ def all_tables(n: int):
     """Every n-variable function, in ascending table-code order."""
     for bits in itertools.product((0, 1), repeat=1 << n):
         yield TruthTable(n, bits)
+
+
+def random_weight_map(rng, n: int, degree: int) -> dict:
+    """Up to 2n seeded Fraction weights on monomials of degree 1..degree (maybe none)."""
+    weights = {}
+    for _ in range(rng.randint(0, 2 * n)):
+        m = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, degree))))
+        weights[m] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return weights
 
 
 @pytest.fixture

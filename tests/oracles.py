@@ -3,14 +3,15 @@
 Everything here deliberately avoids the code paths under test: threshold
 functions are enumerated by trying every small integer weight/threshold
 combination, certificates by direct multiset enumeration, LP systems by
-scanning integer grid points or by a plain full-tableau simplex, and the
-shared-weight LP by a row-by-row encoder.
+scanning integer grid points or by a plain full-tableau simplex, the
+shared-weight LP by a row-by-row encoder, monomial values by mask tests,
+and multithreshold synthesis by a recursive per-candidate scan.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement, product
 
 import numpy as np
 
@@ -203,3 +204,69 @@ def farkas_phase1_reference(A, b, rule: str):
         if v >= r:
             y[v - r] = rows[i][-1]
     return False, tuple(y)
+
+
+def monomial_matrix_reference(n: int, d: int):
+    """Monomials of degree 1..d by (degree, lex), and their 0/1 values at every input.
+
+    Column ``m`` is the mask test ``idx & mask(m) == mask(m)`` over the
+    table indices; the matrix is int64 and read-only.
+    """
+    mons = list(chain.from_iterable(combinations(range(1, n + 1), k) for k in range(1, d + 1)))
+    idx = np.arange(1 << n, dtype=np.int64)
+    cols = []
+    for m in mons:
+        mask = 0
+        for i in m:
+            mask |= 1 << (i - 1)
+        cols.append((idx & mask) == mask)
+    M = (
+        np.stack(cols, axis=1).astype(np.int64)
+        if cols
+        else np.zeros((1 << n, 0), dtype=np.int64)
+    )
+    M.setflags(write=False)
+    return tuple(mons), M
+
+
+def synthesize_reference(bits, n: int, k_max: int, weight_bound: int):
+    """First integer weight vector with the fewest output switches, by recursive scan.
+
+    Candidates run coordinate by coordinate through 0, 1, -1, ..., B, -B,
+    the first coordinate slowest.  A vector qualifies iff the table is
+    constant on each level set of its weighted sum; its thresholds are the
+    levels, ascending, where the output differs from the parity so far
+    (starting at 0).  Returns ``(weights, thresholds)`` as int tuples for
+    the first vector with the fewest thresholds, at most ``k_max``, or None.
+    """
+    inputs = [tuple((j >> i) & 1 for i in range(n)) for j in range(1 << n)]
+    candidates = [0]
+    for v in range(1, weight_bound + 1):
+        candidates.extend((v, -v))
+    best = None
+
+    def scan(prefix):
+        nonlocal best
+        if len(prefix) < n:
+            for v in candidates:
+                scan(prefix + (v,))
+            return
+        by_level = {}
+        for X, bit in zip(inputs, bits):
+            g = sum(w * x for w, x in zip(prefix, X))
+            seen = by_level.get(g)
+            if seen is None:
+                by_level[g] = bit
+            elif seen != bit:
+                return
+        thresholds = []
+        parity = 0
+        for v in sorted(by_level):
+            if by_level[v] != parity:
+                thresholds.append(v)
+                parity ^= 1
+        if len(thresholds) <= k_max and (best is None or len(thresholds) < len(best[1])):
+            best = (prefix, tuple(thresholds))
+
+    scan(())
+    return best

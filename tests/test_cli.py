@@ -170,10 +170,16 @@ def test_family_bad_variable_count_exits_2(weights, n, tmp_path, capsys):
     assert "precondition" in capsys.readouterr().err
 
 
-def test_family_malformed_monomial_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "weights",
+    ["2+1: 1\n", "0: 1\n", "-1: 1\n", "2+0: 1\n"],
+    ids=["decreasing", "zero-index", "negative-index", "zero-in-product"],
+)
+@pytest.mark.parametrize("n_args", [[], ["--n", "3"]], ids=["no-n", "n3"])
+def test_family_malformed_monomial_exits_1(weights, n_args, tmp_path, capsys):
     path = tmp_path / "w.weights"
-    path.write_text("2+1: 1\n")
-    assert run(["family", str(path)]) == 1
+    path.write_text(weights)
+    assert run(["family", str(path), *n_args]) == 1
     assert "error" in capsys.readouterr().err
 
 

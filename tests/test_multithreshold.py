@@ -27,6 +27,7 @@ from ptfkit import (
     synthesize_shared_weight,
     to_truth_table,
     truth_table,
+    vector_at,
     xor,
 )
 from ptfkit.multithreshold import (
@@ -36,7 +37,8 @@ from ptfkit.multithreshold import (
     xor_list_to_json,
 )
 from ptfkit.ptf import weighted_sum
-from conftest import AND2, OR2, XOR2, XOR3
+from conftest import AND2, OR2, XOR2, XOR3, all_tables, parity_table, random_weight_map
+from oracles import synthesize_reference
 
 OR2_PTF = PTF(2, {(1,): 1, (2,): 1}, 1)
 AND2_PTF = PTF(2, {(1,): 1, (2,): 1}, 2)
@@ -147,6 +149,59 @@ def test_synthesis_reverifies_and_counts_switches():
                 parity ^= 1
         assert switches == rep.k
     assert found > 10
+
+
+def _synth_matches_reference(f, k_max, weight_bound):
+    rep = synthesize_shared_weight(f, k_max, weight_bound)
+    got = None
+    if rep is not None:
+        got = (tuple(rep.weights.get((i + 1,), 0) for i in range(f.n)), rep.thresholds)
+    return got == synthesize_reference(f.bits, f.n, k_max, weight_bound)
+
+
+def test_synthesis_matches_reference_on_every_small_table():
+    for n in range(1, 4):
+        for f in all_tables(n):
+            for weight_bound in (1, 2):
+                for k_max in range((1 << n) + 1):
+                    assert _synth_matches_reference(f, k_max, weight_bound), (f, k_max)
+
+
+def test_synthesis_matches_reference_on_seeded_n4_tables():
+    rng = random.Random(1102)
+    for _ in range(300):
+        f = TruthTable(4, tuple(rng.randint(0, 1) for _ in range(16)))
+        k_max, weight_bound = rng.randint(0, 16), rng.randint(1, 3)
+        assert _synth_matches_reference(f, k_max, weight_bound), (f, k_max, weight_bound)
+
+
+def test_synthesis_matches_reference_at_the_cap():
+    rng = random.Random(1103)
+    cases = [(parity_table(4), 4), (parity_table(4), 3)] + [
+        (TruthTable(4, tuple(rng.randint(0, 1) for _ in range(16))), 16) for _ in range(3)
+    ]
+    for f, k_max in cases:
+        assert _synth_matches_reference(f, k_max, 5), (f, k_max)
+
+
+def test_to_truth_table_matches_per_input_eval():
+    rng = random.Random(1104)
+    for n in range(1, 7):
+        inputs = [vector_at(j, n) for j in range(1 << n)]
+        for trial in range(25):
+            weights = {} if trial == 0 else random_weight_map(rng, n, n)
+            sums = [weighted_sum(weights, X) for X in inputs]
+            # thresholds on levels and off them, one of them repeated
+            thresholds = [rng.choice(sums), Fraction(rng.randint(-20, 20), rng.randint(1, 6))]
+            thresholds += [rng.choice(thresholds)] + rng.sample(sums, rng.randint(0, 2))
+            rep = SharedWeight(n, weights, tuple(thresholds))
+            assert to_truth_table(rep).bits == tuple(eval_shared_weight(rep, X) for X in inputs)
+            members = tuple(
+                PTF(n, random_weight_map(rng, n, 1), rng.choice(sums))
+                for _ in range(rng.randint(1, 3))
+            )
+            expected = tuple(eval_xor_list(members, X) for X in inputs)
+            assert to_truth_table(XorList(members)).bits == expected
 
 
 def test_extend_order_xor2():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ptfkit import (
@@ -25,9 +26,26 @@ from ptfkit import (
     xor,
 )
 from ptfkit import lp
-from ptfkit.ptf import MAX_LP_VARS, evaluate, format_ptf_text, parse_ptf_text, weighted_sum
-from conftest import AND2, CONST0_2, CONST1_2, OR2, XOR2, XOR3, all_tables, parity_table
-from oracles import share_weights_system
+from ptfkit.ptf import (
+    MAX_LP_VARS,
+    _monomial_matrix,
+    evaluate,
+    format_ptf_text,
+    parse_ptf_text,
+    weighted_sum,
+)
+from conftest import (
+    AND2,
+    CONST0_2,
+    CONST1_2,
+    OR2,
+    XOR2,
+    XOR3,
+    all_tables,
+    parity_table,
+    random_weight_map,
+)
+from oracles import monomial_matrix_reference, share_weights_system
 
 XOR2_PTF = PTF(2, {(1,): 1, (2,): 1, (1, 2): -2}, 1)
 
@@ -264,3 +282,30 @@ def test_ptf_text_round_trip():
     text = format_ptf_text(XOR2_PTF)
     assert parse_ptf_text(text, n=2) == XOR2_PTF
     assert "theta: 1" in text
+
+
+def test_truth_table_matches_per_input_evaluate():
+    rng = random.Random(1101)
+    for n in range(1, 7):
+        inputs = [vector_at(j, n) for j in range(1 << n)]
+        for trial in range(25):
+            weights = {} if trial == 0 else random_weight_map(rng, n, n)
+            # half the thresholds sit exactly on a level, where >= decides
+            if trial % 2:
+                theta = weighted_sum(weights, rng.choice(inputs))
+            else:
+                theta = Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+            p = PTF(n, weights, theta)
+            assert truth_table(p).bits == tuple(evaluate(p, X) for X in inputs)
+
+
+def test_monomial_matrix_matches_mask_reference():
+    for n in range(1, 11):
+        for d in range(n + 1):
+            mons, M = _monomial_matrix(n, d)
+            ref_mons, ref = monomial_matrix_reference(n, d)
+            assert mons == ref_mons
+            assert M.dtype == ref.dtype == np.int64
+            assert M.shape == ref.shape
+            assert M.flags.c_contiguous and not M.flags.writeable
+            assert M.tobytes() == ref.tobytes()
