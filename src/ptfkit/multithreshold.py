@@ -170,7 +170,7 @@ def synthesize_shared_weight(
     mixed = (switches[:, 1:] & (levels[:, 1:] == levels[:, :-1])).any(axis=1)
     k = np.where(mixed, f.size + 1, switches.sum(axis=1))
     best = int(np.argmin(k))
-    if k[best] > k_max:
+    if mixed[best] or k[best] > k_max:
         return None
     weights = {(i + 1,): Fraction(int(v)) for i, v in enumerate(candidates[best]) if v}
     thresholds = tuple(Fraction(int(t)) for t in levels[best, switches[best]])

@@ -163,8 +163,16 @@ def test_synthesis_matches_reference_on_every_small_table():
     for n in range(1, 4):
         for f in all_tables(n):
             for weight_bound in (1, 2):
-                for k_max in range((1 << n) + 1):
+                # one past 2^n: a budget above any row's switch count
+                for k_max in range((1 << n) + 2):
                     assert _synth_matches_reference(f, k_max, weight_bound), (f, k_max)
+
+
+def test_synthesis_without_a_solution_returns_none_for_any_budget():
+    # at n=3, B=1 no weight vector is constant on the levels of this table
+    f = parse_table("00000110")
+    for k_max in (0, 8, 9, 100):
+        assert synthesize_shared_weight(f, k_max, 1) is None
 
 
 def test_synthesis_matches_reference_on_seeded_n4_tables():
