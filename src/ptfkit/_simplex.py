@@ -14,14 +14,27 @@ monomials) + 1 unknowns, so this tableau stays small.
 
 The artificials are numbered before the ``y`` columns and kept in the
 tableau; only ``y`` columns enter, so an artificial that left never
-re-enters.  Dantzig's rule (Dantzig 1963) enters the ``y`` column with the
-most negative reduced cost, lowest index on ties, and the ratio test
-breaks ties by the lowest-numbered basic variable, so artificials leave
-first.  Both choices depend only on the set of basic variables, so a basis
+re-enters, except once at a warm start (below).  Dantzig's rule (Dantzig
+1963) enters the ``y`` column with the most negative reduced cost, lowest
+index on ties, and the ratio test breaks ties by the lowest-numbered
+basic variable, so artificials leave first.  Both choices depend only on the set of basic variables, so a basis
 seen twice in one solve proves a cycle.  The loop keeps that set as an int
 bitmask and switches to Bland's rule (Bland 1977: the lowest-numbered
 ``y`` with a negative reduced cost) at the first repeat; Bland's rule
-terminates from any basis.
+terminates from any feasible basis.
+
+Warm start
+----------
+A system that differs from an already solved one in a single row ``j``
+differs on the Farkas side in the column of ``y_j`` alone.  The final
+tableau of the solved system holds ``delta * B^-1`` in its artificial
+block, so the new column and its reduced cost are formed exactly from
+it, and the old basis is still a feasible basis of the new system when
+``y_j`` is nonbasic.  When ``y_j`` is basic at value 0, one degenerate
+pivot first swaps it for a nonbasic artificial, the one artificial that
+re-enters.  The loop then continues from that basis, keeping the
+starting ``delta`` (the new basis's determinant), under the same rules
+and with the same proofs.  A positive basic ``y_j`` starts cold.
 
 The solve ends with a proof either way:
 
@@ -110,28 +123,47 @@ def _leaving_row(col, rhs, basis) -> int:
     return p
 
 
-def _pivot_loop_numpy(T, basis, dantzig: bool):
+def _overflows(T) -> bool:
+    """Whether an int64 tableau has an entry past the guard."""
+    return T.max() > _INT64_GUARD or T.min() < -_INT64_GUARD
+
+
+def _pivot(T, p, q, delta):
+    """One fraction-free pivot on ``T[p, q]``, in place; returns the new delta."""
+    piv = T[p, q]
+    row_p = T[p].copy()
+    col_q = T[:, q].copy()
+    T *= piv
+    T -= col_q[:, None] * row_p
+    T //= delta
+    T[p] = row_p
+    return piv
+
+
+def _pivot_loop_numpy(T, basis, dantzig: bool, delta=1):
     """Pivot a phase-1 tableau (int64 or object dtype) to a proof.
 
-    ``T`` and ``basis`` are updated in place.  Prices by Dantzig's rule
-    until a basis repeats when ``dantzig`` is set, else by Bland's rule.
-    Only an int64 tableau is guarded.  Returns ``(status, delta)`` with
-    status INFEASIBLE when the artificials' sum reached 0 (the basic ``y``
-    form a ray), FEASIBLE when no ``y`` column prices out, OVERFLOW or
-    UNBOUNDED.
+    ``T`` and ``basis`` are updated in place; ``delta`` is the determinant
+    of the starting basis (1 for the artificials of a new tableau).  Prices
+    by Dantzig's rule until a basis repeats when ``dantzig`` is set, else
+    by Bland's rule.  Only an int64 tableau is guarded.  Returns
+    ``(status, delta)`` with status INFEASIBLE when the artificials' sum
+    reached 0 (the basic ``y`` form a ray), FEASIBLE when no ``y`` column
+    prices out, OVERFLOW or UNBOUNDED.
     """
     r = T.shape[0] - 1
     last = T.shape[1] - 1
     guarded = T.dtype != object
-    delta = T.dtype.type(1) if guarded else 1
+    if guarded:
+        delta = T.dtype.type(delta)
     mask = sum(1 << v for v in basis)
     seen = {mask}
     while True:
-        if guarded and (T.max() > _INT64_GUARD or T.min() < -_INT64_GUARD):
+        if guarded and _overflows(T):
             return OVERFLOW, delta
         if T[r, last] == 0:
             return INFEASIBLE, delta
-        # Price the y columns only: artificials never re-enter.
+        # Price the y columns only: artificials never enter.
         costs = T[r, r:last]
         if dantzig:
             q = int(costs.argmin())
@@ -146,14 +178,7 @@ def _pivot_loop_numpy(T, basis, dantzig: bool):
         p = _leaving_row(T[:r, q].tolist(), T[:r, last].tolist(), basis)
         if p < 0:
             return UNBOUNDED, delta
-        piv = T[p, q]
-        row_p = T[p].copy()
-        col_q = T[:, q].copy()
-        T *= piv
-        T -= col_q[:, None] * row_p
-        T //= delta
-        T[p] = row_p
-        delta = piv
+        delta = _pivot(T, p, q, delta)
         if dantzig:
             mask ^= (1 << basis[p]) | (1 << q)
             if mask in seen:
@@ -162,35 +187,87 @@ def _pivot_loop_numpy(T, basis, dantzig: bool):
         basis[p] = q
 
 
-def solve_free_le(A, b):
+def _warm_start(A, b, state, j):
+    """A final phase-1 state made a start for ``A x <= b``, or None for a cold solve.
+
+    ``state = (T, basis, delta)`` ended the solve of a system that differs
+    from ``A x <= b`` in row ``j`` alone, so only the column of ``y_j``
+    changes: it is ``delta * B^-1 c`` with ``c = (A[j], -b[j])``, read off
+    the artificial block ``delta * B^-1``, and its reduced cost follows
+    from the cost row the same way.  The basis stays primal feasible when
+    ``y_j`` is nonbasic, or basic at 0 after one degenerate pivot swaps it
+    for an artificial; a positive basic ``y_j``, an object-dtype state, a
+    row too large for an int64 product, and a degenerate pivot that passes
+    the guard all return None.  ``state`` is not modified.
+    """
+    T, basis, delta = state
+    r = T.shape[0] - 1
+    q = r + j
+    c = np.append(A[j], -b[j])
+    # With every entry of T within the guard, the products below stay in int64.
+    if T.dtype == object or int(np.abs(c).sum()) * _INT64_GUARD >= 1 << 62:
+        return None
+    T, basis = T.copy(), list(basis)
+    if q in basis:
+        p = basis.index(q)
+        if T[p, -1] != 0:
+            return None
+        # Row p of delta * B^-1 is nonzero, and a basic artificial's column
+        # is zero off its own row, so k is a nonbasic artificial.
+        k = int(np.flatnonzero(T[p, :r])[0])
+        delta = _pivot(T, p, k, delta)
+        basis[p] = k
+        if delta < 0:
+            np.negative(T, out=T)
+            delta = -delta
+        # Checked before the product below, which would wrap silently.
+        if _overflows(T):
+            return None
+    T[:r, q] = T[:r, :r] @ c
+    T[r, q] = T[r, :r] @ c - delta * c.sum()
+    return T, basis, delta
+
+
+def solve_free_le(A, b, start=None):
     """Decide ``A x <= b`` over free variables by the Farkas phase 1.
 
     ``A`` is an integer ``m x n`` matrix with ``m >= 1``, ``b`` an integer
-    vector.  Returns ``(False, y)`` with Python-int ``y >= 0``,
+    vector.  ``start = (state, j)`` continues from the final ``state`` of
+    a solve of a system that differs from this one in row ``j`` alone,
+    where :func:`_warm_start` allows it; an OVERFLOW there restarts on the
+    cold ladder.  Returns ``(False, y, state)`` with Python-int ``y >= 0``,
     ``A^T y = 0`` and ``b^T y < 0`` when the system is infeasible, else
-    ``(True, (x, t))`` with Python ints, ``t > 0`` and ``A x <= t b``.
+    ``(True, (x, t), state)`` with Python ints, ``t > 0`` and
+    ``A x <= t b``; ``state`` is the final ``(T, basis, delta)``.
     """
     A = np.asarray(A)
     b = np.asarray(b)
     m, n = A.shape
-    fits = max(int(np.abs(A).max(initial=0)), int(np.abs(b).max(initial=0))) <= _INT64_GUARD
-    for dtype, dantzig in _RUNGS:
-        if dtype is object or fits:
-            T, basis = _build_tableau(A, b, dtype)
-            status, delta = _pivot_loop_numpy(T, basis, dantzig)
-            if status != OVERFLOW:
-                break
+    status = OVERFLOW
+    warm = None if start is None else _warm_start(A, b, *start)
+    if warm is not None:
+        T, basis, delta = warm
+        status, delta = _pivot_loop_numpy(T, basis, True, delta)
+    if status == OVERFLOW:
+        fits = max(int(np.abs(A).max(initial=0)), int(np.abs(b).max(initial=0))) <= _INT64_GUARD
+        for dtype, dantzig in _RUNGS:
+            if dtype is object or fits:
+                T, basis = _build_tableau(A, b, dtype)
+                status, delta = _pivot_loop_numpy(T, basis, dantzig)
+                if status != OVERFLOW:
+                    break
     if status == UNBOUNDED:
         # Phase 1 minimizes a sum of nonnegative variables; it cannot be
         # unbounded, so this would be a kernel bug.
         raise AssertionError("phase-1 simplex reported unbounded")
     r = n + 1
+    state = (T, basis, delta)
     if status == INFEASIBLE:
         y = [0] * m
         for v, value in zip(basis, T[:r, -1].tolist()):
             if v >= r:
                 y[v - r] = value
-        return False, y
+        return False, y, state
     # An artificial's reduced cost is 1 - pi_k, scaled by delta.
     pi = [int(delta) - v for v in T[r, :r].tolist()]
-    return True, (pi[:n], pi[n])
+    return True, (pi[:n], pi[n]), state

@@ -27,13 +27,13 @@ from fractions import Fraction
 from . import lp
 from .core import InputVector, TruthTable, all_vectors, flip_at, index_of, minterms, xor
 from .errors import DimensionMismatch, PreconditionError
-from .ptf import PTF, _climb, _realization_lp, is_threshold, order, truth_table
+from .ptf import PTF, _climb, _flipped_lp, _realization_lp, is_threshold, order, truth_table
 
 # A probe solves at most two LPs over 2^n rows; keep enumeration at desk scale.
 MAX_PROBE_VARS = 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HighOrderVectorResult:
     """A flip point together with the orders before and after the flip."""
 
@@ -47,56 +47,65 @@ def _check_probe_size(g: TruthTable) -> None:
         raise PreconditionError(f"high-order probes capped at n <= {MAX_PROBE_VARS}, got {g.n}")
 
 
-def _probe(
-    g: TruthTable, r: int, ray: list[int] | None, Y: InputVector
-) -> HighOrderVectorResult | None:
-    """Present iff flipping g at Y changes g's order r; ``ray`` is g's Farkas ray at r-1.
+def _prober(g: TruthTable):
+    """g's order r and a probe of one flip point, from one climb.
 
-    One flip moves the order by at most 1, so the flip's order s is r-1, r
-    or r+1, and at most two LPs of the flipped function tell them apart:
+    The probe returns a result for Y iff flipping g at Y changes r.  One
+    flip moves the order by at most 1, so the flip's order s is r-1, r or
+    r+1, and at most two LPs of the flipped function tell them apart.
+    Each is g's LP with row Y flipped (:func:`_flipped_lp`), so g's LPs
+    are built once per degree:
 
-    * at r-1, only when the ray weights Y.  A ray with ``y_Y = 0`` is also a
-      ray of the flipped system, which differs from g's in row Y alone; it
-      is re-checked against that system instead of solving it.
-    * at r, only when s is not r-1 and r < n: infeasible there means s = r+1.
+    * at r-1, only when g's Farkas ray there weights Y.  A ray with
+      ``y_Y = 0`` is also a ray of the flipped system, which differs from
+      g's in row Y alone; it is re-checked against that system instead of
+      solving it.
+    * at r, only when s is not r-1 and r < n: infeasible there means
+      s = r+1.  The solve starts from the final state of g's own solve at
+      r, which the climb already holds.
     """
-    f = flip_at(g, Y)
-    s = r
-    if r >= 1:
-        A, b = _realization_lp(f, r - 1)
-        if ray[index_of(Y)]:
-            if lp.feasible(A, b).feasible:
-                s = r - 1
-        elif not lp._is_farkas_ray(A, b, ray):
-            raise AssertionError(
-                f"g's Farkas ray at degree {r - 1} does not refute the flip at {Y}"
-            )
-    if s == r and r < g.n:
-        if not lp.feasible(*_realization_lp(f, r)).feasible:
-            s = r + 1
-    return None if s == r else HighOrderVectorResult(tuple(Y), r, s)
+    _check_probe_size(g)
+    r, _, ray, state = _climb(g)
+    below = _realization_lp(g, r - 1) if r >= 1 else None
+    at = _realization_lp(g, r) if r < g.n else None
+
+    def probe(Y: InputVector) -> HighOrderVectorResult | None:
+        j = index_of(Y)
+        s = r
+        if below is not None:
+            A, b = _flipped_lp(*below, j)
+            if ray[j]:
+                if lp.feasible(A, b).feasible:
+                    s = r - 1
+            elif not lp._is_farkas_ray(A, b, ray):
+                raise AssertionError(
+                    f"g's Farkas ray at degree {r - 1} does not refute the flip at {Y}"
+                )
+        if s == r and at is not None:
+            if not lp.feasible(*_flipped_lp(*at, j), start=(state, j)).feasible:
+                s = r + 1
+        return None if s == r else HighOrderVectorResult(tuple(Y), r, s)
+
+    return r, probe
 
 
 def is_high_order_vector(g: TruthTable, Y: InputVector) -> HighOrderVectorResult | None:
     """Present iff flipping g at Y changes the minimal order."""
     if len(Y) != g.n:
         raise DimensionMismatch(f"vector has {len(Y)} entries, function has {g.n} variables")
-    _check_probe_size(g)
-    r, _, ray = _climb(g)
-    return _probe(g, r, ray, Y)
+    return _prober(g)[1](Y)
 
 
 def high_order_search(g: TruthTable) -> tuple[int, list[HighOrderVectorResult]]:
     """The order of g and all qualifying flip points, in ascending table-index order.
 
-    Computes the order of g and its Farkas ray once, then at most two LPs
-    per flip point.
+    Computes the order of g, its Farkas ray and its final solver state
+    once, then at most two LPs per flip point.
     """
-    _check_probe_size(g)
-    r, _, ray = _climb(g)
+    r, probe = _prober(g)
     results = []
     for Y in all_vectors(g.n):
-        hit = _probe(g, r, ray, Y)
+        hit = probe(Y)
         if hit is not None:
             results.append(hit)
     return r, results

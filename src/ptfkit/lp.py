@@ -25,14 +25,26 @@ import numpy as np
 from . import _simplex
 
 
-class FeasibilityResult(NamedTuple):
-    """A verdict and its re-checked proof: the multipliers ``(x, t)`` or a Farkas ray."""
-
+class _Verdict(NamedTuple):
     feasible: bool
     proof: tuple[list[int], int] | list[int]
 
 
-def feasible(A, b) -> FeasibilityResult:
+class FeasibilityResult(_Verdict):
+    """A verdict and its re-checked proof: the multipliers ``(x, t)`` or a Farkas ray.
+
+    It unpacks as ``ok, proof``.  The attribute ``state`` is the solver's
+    final phase-1 state, a warm start for a system that differs in one row
+    (None for a system without rows).
+    """
+
+    def __new__(cls, feasible, proof, state=None):
+        self = super().__new__(cls, feasible, proof)
+        self.state = state
+        return self
+
+
+def feasible(A, b, start=None) -> FeasibilityResult:
     """Solve integer ``A x <= b`` by the Farkas phase 1, with its proof re-checked.
 
     Returns ``(True, (x, t))`` with Python ints, ``t > 0`` and
@@ -40,19 +52,22 @@ def feasible(A, b) -> FeasibilityResult:
     Farkas ray: Python ints ``y >= 0`` with ``A^T y = 0`` and
     ``b^T y < 0``, one per row.  A system with no rows is feasible with
     ``x = 0``.  A proof that fails its check raises AssertionError.
+    ``start = (state, j)`` warm-starts from the ``state`` of a result for
+    a system that differs from this one in row ``j`` alone; the proof is
+    checked against this system all the same.
     """
     A = np.asarray(A)
     b = np.asarray(b)
     if A.shape[0] == 0:
         return FeasibilityResult(True, ([0] * A.shape[1], 1))
-    ok, proof = _simplex.solve_free_le(A, b)
+    ok, proof, state = _simplex.solve_free_le(A, b, start)
     if ok:
         x, t = proof
         if not (t > 0 and _holds(A, b, x, t)):
             raise AssertionError("Farkas phase 1 produced multipliers violating a constraint")
     elif not _is_farkas_ray(A, b, proof):
         raise AssertionError("Farkas phase 1 produced an invalid infeasibility ray")
-    return FeasibilityResult(ok, proof)
+    return FeasibilityResult(ok, proof, state)
 
 
 def _dtype_for(bound: int):

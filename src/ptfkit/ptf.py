@@ -181,6 +181,19 @@ def _realization_lp(f: TruthTable, d: int):
     return A, b
 
 
+def _flipped_lp(A, b, j: int):
+    """The realizability LP of f flipped at table index j, from f's ``(A, b)``.
+
+    A true row ``theta - G(X) <= 0`` and a false row ``G(X) - theta <= -1``
+    differ in sign and right-hand side alone, so row j is negated and its
+    right-hand side moved to the other side's value.  Returns new arrays.
+    """
+    A, b = A.copy(), b.copy()
+    A[j] = -A[j]
+    b[j] = -1 - b[j]
+    return A, b
+
+
 def _witness(proof) -> list[Fraction]:
     """The point ``x / t`` of re-checked phase-1 multipliers ``(x, t)``."""
     x, t = proof
@@ -205,7 +218,7 @@ def realize_at_degree(f: TruthTable, d: int) -> PTF | None:
 
 def minimal_realization(f: TruthTable) -> tuple[int, PTF]:
     """The order of f with the realization :func:`realize_at_degree` gives there."""
-    r, proof, _ = _climb(f)
+    r, proof, _, _ = _climb(f)
     return r, _ptf_of(f.n, r, proof)
 
 
@@ -214,20 +227,24 @@ def order(f: TruthTable) -> int:
     return _climb(f)[0]
 
 
-def _climb(f: TruthTable) -> tuple[int, tuple[list[int], int], list[int] | None]:
-    """The order r of f, the multipliers ``(x, t)`` at r and the Farkas ray at r-1.
+def _climb(
+    f: TruthTable,
+) -> tuple[int, tuple[list[int], int], list[int] | None, tuple]:
+    """The order r of f, the multipliers ``(x, t)`` at r, the Farkas ray at r-1 and the state at r.
 
     Decides degree 0, 1, ... by :func:`lp.feasible`, each with a
     re-checked proof, and stops at the first feasible degree.  The ray
     (one entry per table index, None at r = 0) is the proof the climb
-    already holds when degree r-1 fails, so it costs no extra LP.
+    already holds when degree r-1 fails, and the state is the final
+    phase-1 state of the solve at r (a warm start for a flip of f there),
+    so neither costs an extra LP.
     """
     ray = None
     for d in range(f.n + 1):
-        ok, proof = lp.feasible(*_realization_lp(f, d))
-        if ok:
-            return d, proof, ray
-        ray = proof
+        res = lp.feasible(*_realization_lp(f, d))
+        if res.feasible:
+            return d, res.proof, ray, res.state
+        ray = res.proof
     raise AssertionError("every function is realizable at degree n")
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -24,8 +25,9 @@ from ptfkit import (
     vector_at,
     xor,
 )
-from ptfkit import highorder, lp
+from ptfkit import _simplex, highorder, lp
 from ptfkit.highorder import high_order_search, hov_to_json
+from ptfkit.ptf import _flipped_lp, _realization_lp
 from conftest import AND2, NAND2, OR2, XOR2, all_tables, parity_table
 
 
@@ -87,11 +89,14 @@ def test_probes_match_climbing_order_on_every_small_table(n):
     assert {0, n} <= seen
 
 
-def test_probes_match_climbing_order_on_sampled_n4_tables():
+def _sampled_n4_tables():
     rng = random.Random(4)
     tables = [const(4, 0), parity_table(4)]
-    tables += [TruthTable(4, tuple(rng.getrandbits(1) for _ in range(16))) for _ in range(198)]
-    seen = _assert_probes_match_reference(tables, order)
+    return tables + [TruthTable(4, tuple(rng.getrandbits(1) for _ in range(16))) for _ in range(198)]
+
+
+def test_probes_match_climbing_order_on_sampled_n4_tables():
+    seen = _assert_probes_match_reference(_sampled_n4_tables(), order)
     assert {0, 1, 2, 3, 4} <= seen
 
 
@@ -99,10 +104,10 @@ def test_a_probe_solves_at_most_two_lps(monkeypatch):
     solves = 0
     real_feasible = lp.feasible
 
-    def counting_feasible(A, b):
+    def counting_feasible(A, b, start=None):
         nonlocal solves
         solves += 1
-        return real_feasible(A, b)
+        return real_feasible(A, b, start)
 
     monkeypatch.setattr(lp, "feasible", counting_feasible)
     for n in (2, 3):
@@ -113,13 +118,62 @@ def test_a_probe_solves_at_most_two_lps(monkeypatch):
             assert solves <= r + 1 + 2 * g.size
 
 
+def _entry_case(state, j):
+    """How g's final basis meets the column of ``y_j`` that a flip at j replaces."""
+    T, basis, _ = state
+    q = T.shape[0] - 1 + j
+    if q not in basis:
+        return "nonbasic"
+    return "degenerate" if T[basis.index(q), -1] == 0 else "positive"
+
+
+def _warm_probe_cases(tables, monkeypatch):
+    """Counts of the entry cases over every flip at degree r = order(g) < n.
+
+    Asserts that the warm start is taken exactly in the nonbasic and
+    degenerate cases, and that each warm verdict is the cold one.
+    """
+    starts = []
+    real = _simplex._warm_start
+
+    def recording(*args):
+        starts.append(real(*args))
+        return starts[-1]
+
+    monkeypatch.setattr(_simplex, "_warm_start", recording)
+    cases = Counter()
+    for g in tables:
+        r, _, _, state = highorder._climb(g)
+        if r == g.n:
+            continue
+        A, b = _realization_lp(g, r)
+        for j in range(g.size):
+            flipped = _flipped_lp(A, b, j)
+            case = _entry_case(state, j)
+            warm = lp.feasible(*flipped, start=(state, j))
+            assert (starts.pop() is not None) == (case != "positive")
+            assert warm.feasible == lp.feasible(*flipped).feasible
+            cases[case] += 1
+    return cases
+
+
+def test_warm_start_takes_every_entry_case_on_small_tables(monkeypatch):
+    tables = [g for n in (1, 2, 3) for g in all_tables(n)]
+    cases = _warm_probe_cases(tables, monkeypatch)
+    assert set(cases) == {"nonbasic", "degenerate", "positive"}
+
+
+def test_warm_verdicts_match_cold_on_sampled_n4_tables(monkeypatch):
+    assert len(_warm_probe_cases(_sampled_n4_tables(), monkeypatch)) == 3
+
+
 def test_forged_reused_ray_raises(monkeypatch):
-    r, proof, ray = highorder._climb(AND2)
+    r, proof, ray, state = highorder._climb(AND2)
     zeros = [i for i, y in enumerate(ray) if y == 0]
     assert r == 1 and len(zeros) >= 2
     forged = list(ray)
     forged[zeros[0]] = 1
-    monkeypatch.setattr(highorder, "_climb", lambda g: (r, proof, forged))
+    monkeypatch.setattr(highorder, "_climb", lambda g: (r, proof, forged, state))
     with pytest.raises(AssertionError, match="Farkas ray"):
         high_order_search(AND2)
     with pytest.raises(AssertionError, match="Farkas ray"):

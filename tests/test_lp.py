@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ptfkit import PTF, lp, ptf
+from ptfkit import PTF, lp, parse_table, ptf
 from ptfkit import _simplex
 from conftest import all_tables
 from oracles import farkas_phase1_reference, find_integer_point, full_tableau_solve
@@ -155,7 +155,7 @@ def _realization_system(f, d):
 
 def _farkas_proof(A, b):
     """The Farkas phase 1's proof, scaled as the reference scales it."""
-    feasible, proof = _simplex.solve_free_le(A, b)
+    feasible, proof, _ = _simplex.solve_free_le(A, b)
     if feasible:
         x, t = proof
         return True, tuple(Fraction(v, t) for v in x)
@@ -180,7 +180,7 @@ def test_witnesses_match_full_tableau_reference_on_random_systems():
         assert (res.feasible, _witness(res)) == _reference_result(A, b, rule)
         assert _farkas_proof(A, b) == farkas_phase1_reference(A, b, rule)
         # feasible hands out the kernel's proof once it has passed its check
-        assert res == _simplex.solve_free_le(A, b)
+        assert res == _simplex.solve_free_le(A, b)[:2]
 
 
 def test_witnesses_match_full_tableau_reference_on_every_n3_table():
@@ -215,9 +215,9 @@ def test_farkas_overflow_mid_solve_restarts_on_object_dtype(A, b, monkeypatch):
     seen = []
     loop = _simplex._pivot_loop_numpy
 
-    def spy(T, basis, dantzig):
+    def spy(T, basis, dantzig, delta=1):
         start = T.copy()
-        status, delta = loop(T, basis, dantzig)
+        status, delta = loop(T, basis, dantzig, delta)
         seen.append((T.dtype, dantzig, status, not np.array_equal(T, start)))
         return status, delta
 
@@ -234,6 +234,60 @@ def test_farkas_overflow_mid_solve_restarts_on_object_dtype(A, b, monkeypatch):
     ]
     assert (before.feasible, _witness(before)) == _reference_result(A, b, "dantzig")
     assert (after.feasible, _witness(after)) == _reference_result(A, b, "bland")
+
+
+def _flip_probe(code: str, j: int):
+    """g's final phase-1 state at its order, and g's LP there flipped at table index j."""
+    g = parse_table(code)
+    r, _, _, state = ptf._climb(g)
+    return state, ptf._flipped_lp(*ptf._realization_lp(g, r), j)
+
+
+@pytest.mark.parametrize("code, j", [("0011", 0), ("0011", 1)], ids=["nonbasic", "degenerate"])
+def test_forged_warm_state_raises(code, j):
+    state, (A, b) = _flip_probe(code, j)
+    assert _simplex._warm_start(A, b, state, j) is not None
+    assert lp.feasible(A, b, start=(state, j)).feasible and lp.feasible(A, b).feasible
+    T, basis, delta = state
+    forged = T.copy()
+    # a zero artificials' sum reads the basic y as a ray of a feasible system
+    forged[-1, -1] = 0
+    with pytest.raises(AssertionError, match="infeasibility ray"):
+        lp.feasible(A, b, start=((forged, basis, delta), j))
+
+
+@pytest.mark.parametrize(
+    "code, j, over",
+    [("00000011", 5, "column"), ("1100", 1, "degenerate pivot"), ("0011", 1, "object state")],
+)
+def test_warm_start_past_the_guard_restarts_on_the_cold_ladder(code, j, over, monkeypatch):
+    state, (A, b) = _flip_probe(code, j)
+    cold = lp.feasible(A, b)
+    T, basis, delta = state
+    warm = _simplex._warm_start(A, b, state, j)
+    if over == "object state":
+        state = (T.astype(object), basis, delta)
+    else:
+        # a guard g's tableau meets but the warm tableau passes
+        guard = int(np.abs(T).max())
+        assert np.abs(warm[0]).max() > guard
+        monkeypatch.setattr(_simplex, "_INT64_GUARD", guard)
+    seen = []
+    loop = _simplex._pivot_loop_numpy
+
+    def spy(T, basis, dantzig, delta=1):
+        start = T.copy()
+        status, delta = loop(T, basis, dantzig, delta)
+        seen.append((np.array_equal(start, _simplex._build_tableau(A, b, T.dtype)[0]), status))
+        return status, delta
+
+    monkeypatch.setattr(_simplex, "_pivot_loop_numpy", spy)
+    res = lp.feasible(A, b, start=(state, j))
+    assert res.feasible == cold.feasible
+    # only a new column past the guard reaches the loop, which stops at once
+    if over == "column":
+        assert seen.pop(0) == (False, _simplex.OVERFLOW)
+    assert seen and all(fresh for fresh, _ in seen)
 
 
 # Reversing the rows of this n=7 table's degree-3 LP (its order is 3) makes
@@ -268,9 +322,9 @@ _GAP = (np.array([[1], [-1]]), np.array([1, -2]))
 @pytest.mark.parametrize(
     "system, forged",
     [
-        (_INTERVAL, {"solve_free_le": lambda A, b: (False, [1, 1])}),
-        (_GAP, {"solve_free_le": lambda A, b: (True, ([2], 1))}),
-        (_GAP, {"solve_free_le": lambda A, b: (True, ([0], 0))}),
+        (_INTERVAL, {"solve_free_le": lambda A, b, start: (False, [1, 1], None)}),
+        (_GAP, {"solve_free_le": lambda A, b, start: (True, ([2], 1), None)}),
+        (_GAP, {"solve_free_le": lambda A, b, start: (True, ([0], 0), None)}),
     ],
     ids=["forged-ray", "forged-multipliers", "zero-multiplier-t"],
 )

@@ -13,8 +13,11 @@ from ptfkit import (
     DimensionMismatch,
     PreconditionError,
     TruthTable,
+    all_vectors,
     const,
     eval_G,
+    flip_at,
+    index_of,
     is_threshold,
     order,
     parse_table,
@@ -28,7 +31,9 @@ from ptfkit import (
 from ptfkit import lp
 from ptfkit.ptf import (
     MAX_LP_VARS,
+    _flipped_lp,
     _monomial_matrix,
+    _realization_lp,
     evaluate,
     format_ptf_text,
     parse_ptf_text,
@@ -309,3 +314,18 @@ def test_monomial_matrix_matches_mask_reference():
             assert M.shape == ref.shape
             assert M.flags.c_contiguous and not M.flags.writeable
             assert M.tobytes() == ref.tobytes()
+
+
+def test_flipped_lp_is_the_flipped_tables_lp():
+    for n in (1, 2, 3):
+        for g in all_tables(n):
+            for d in range(n + 1):
+                A, b = _realization_lp(g, d)
+                before = A.copy(), b.copy()
+                for Y in all_vectors(n):
+                    got = _flipped_lp(A, b, index_of(Y))
+                    want = _realization_lp(flip_at(g, Y), d)
+                    for u, v in zip(got, want):
+                        assert u.dtype == v.dtype and np.array_equal(u, v)
+                # g's own system is left as it was
+                assert all(np.array_equal(u, v) for u, v in zip((A, b), before))
