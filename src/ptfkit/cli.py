@@ -39,7 +39,7 @@ def _parse_vector(text: str, n: int) -> tuple[int, ...]:
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, a NUL in the path
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 

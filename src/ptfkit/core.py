@@ -23,28 +23,32 @@ MAX_VARS = 16
 
 InputVector = tuple[int, ...]
 
+# Table entries by value: True and 1.0 are stored as the int 1.
+_BITS = {0: 0, 1: 1}
+
 
 @dataclass(frozen=True)
 class TruthTable:
     """The full output table of a Boolean function on B^n.
 
-    ``bits`` is stored as a tuple whatever sequence is passed, so equal
-    tables compare equal and hash alike.
+    ``bits`` is stored as a tuple of Python ints whatever sequence is
+    passed, so equal tables compare equal, hash alike and print alike.
     """
 
     n: int
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", tuple(self.bits))
+        try:
+            object.__setattr__(self, "bits", tuple(map(_BITS.__getitem__, self.bits)))
+        except (KeyError, TypeError):
+            raise ValueError("table entries must be 0 or 1") from None
         if not 1 <= self.n <= MAX_VARS:
             raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {self.n}")
         if len(self.bits) != 1 << self.n:
             raise ValueError(
                 f"table for n={self.n} needs {1 << self.n} bits, got {len(self.bits)}"
             )
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("table entries must be 0 or 1")
 
     @property
     def size(self) -> int:

@@ -4,19 +4,20 @@ Flipping a function g at one input Y sometimes changes its minimal
 realization order; such a Y is a high-order vector of g.  One flip moves
 the order by at most 1 (if p sign-represents g with degree d, then
 p * (-L) sign-represents the flip with degree d+1, where L is positive
-only at Y), so a probe decides at most two LPs of the flipped function,
-and the Farkas ray that refutes g one degree below its order refutes
-every flip at a point off the ray's support.  When the flip
-lands in the threshold class (order <= 1), the disagreement function
+only at Y), so one probe finds the flip's order from at most two LPs of
+the flipped function, and the Farkas ray that refutes g one degree below
+its order refutes every flip at a point off the ray's support.  The
+search and order reduction ask the same probe.  When the flip lands in
+the threshold class (order <= 1), the disagreement function
 g XOR flip(g, Y) is true only at Y, and a one-minterm function always has
 the closed-form degree-1 realization
 
     w_i = 2*y_i - 1,   theta = popcount(Y),
 
 whose weighted sum is maximized uniquely at Y.  Order reduction packages
-both pieces: the flipped threshold function with an LP witness, and the
-single-minterm remainder with the closed-form witness, each re-verified
-by full table evaluation.
+both pieces: the flipped threshold function with the probe's LP witness,
+and the single-minterm remainder with the closed-form witness, each
+re-verified by full table evaluation.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
-from .core import InputVector, TruthTable, all_vectors, flip_at, index_of, minterms, xor
-from .errors import DimensionMismatch, PreconditionError
-from .ptf import PTF, _climb, _flipped_lp, _realization_lp, is_threshold, order, truth_table
+from .core import InputVector, TruthTable, _check_vector, flip_at, index_of, minterms, vector_at, xor
+from .errors import PreconditionError
+from .ptf import PTF, _climb, _flipped_lp, _ptf_of, truth_table
 
 # A probe solves at most two LPs over 2^n rows; keep enumeration at desk scale.
 MAX_PROBE_VARS = 6
@@ -42,58 +43,53 @@ class HighOrderVectorResult:
     order_after: int
 
 
-def _check_probe_size(g: TruthTable) -> None:
-    if g.n > MAX_PROBE_VARS:
-        raise PreconditionError(f"high-order probes capped at n <= {MAX_PROBE_VARS}, got {g.n}")
-
-
 def _prober(g: TruthTable):
-    """g's order r and a probe of one flip point, from one climb.
+    """g's order r and the order of g flipped at one table index, from one climb.
 
-    The probe returns a result for Y iff flipping g at Y changes r.  One
-    flip moves the order by at most 1, so the flip's order s is r-1, r or
-    r+1, and at most two LPs of the flipped function tell them apart.
-    Each is g's LP with row Y flipped (:func:`_flipped_lp`), so g's LPs
-    are built once per degree:
+    ``flip(j)`` returns ``(s, proof)``: the order s of g flipped at table
+    index j, and the flip's re-checked multipliers at r-1 when s = r-1
+    (else None).  One flip moves the order by at most 1, so s is r-1, r
+    or r+1, and at most two LPs of the flipped function tell them apart.
+    Each is g's LP from the climb with row j flipped (:func:`_flipped_lp`):
 
-    * at r-1, only when g's Farkas ray there weights Y.  A ray with
-      ``y_Y = 0`` is also a ray of the flipped system, which differs from
-      g's in row Y alone; it is re-checked against that system instead of
+    * at r-1, only when g's Farkas ray there weights j.  A ray with
+      ``y_j = 0`` is also a ray of the flipped system, which differs from
+      g's in row j alone; it is re-checked against that system instead of
       solving it.
     * at r, only when s is not r-1 and r < n: infeasible there means
       s = r+1.  The solve starts from the final state of g's own solve at
       r, which the climb already holds.
     """
-    _check_probe_size(g)
-    r, _, ray, state = _climb(g)
-    below = _realization_lp(g, r - 1) if r >= 1 else None
-    at = _realization_lp(g, r) if r < g.n else None
+    if g.n > MAX_PROBE_VARS:
+        raise PreconditionError(f"high-order probes capped at n <= {MAX_PROBE_VARS}, got {g.n}")
+    r, below, at = _climb(g)
 
-    def probe(Y: InputVector) -> HighOrderVectorResult | None:
-        j = index_of(Y)
-        s = r
+    def flip(j: int) -> tuple[int, tuple[list[int], int] | None]:
         if below is not None:
-            A, b = _flipped_lp(*below, j)
-            if ray[j]:
-                if lp.feasible(A, b).feasible:
-                    s = r - 1
-            elif not lp._is_farkas_ray(A, b, ray):
+            A, b, res = below
+            A, b = _flipped_lp(A, b, j)
+            if res.proof[j]:
+                ok, proof = lp.feasible(A, b)
+                if ok:
+                    return r - 1, proof
+            elif not lp._is_farkas_ray(A, b, res.proof):
                 raise AssertionError(
-                    f"g's Farkas ray at degree {r - 1} does not refute the flip at {Y}"
+                    f"g's Farkas ray at degree {r - 1} does not refute the flip at index {j}"
                 )
-        if s == r and at is not None:
-            if not lp.feasible(*_flipped_lp(*at, j), start=(state, j)).feasible:
-                s = r + 1
-        return None if s == r else HighOrderVectorResult(tuple(Y), r, s)
+        A, b, res = at
+        if r < g.n and not lp.feasible(*_flipped_lp(A, b, j), start=(res.state, j)).feasible:
+            return r + 1, None
+        return r, None
 
-    return r, probe
+    return r, flip
 
 
 def is_high_order_vector(g: TruthTable, Y: InputVector) -> HighOrderVectorResult | None:
     """Present iff flipping g at Y changes the minimal order."""
-    if len(Y) != g.n:
-        raise DimensionMismatch(f"vector has {len(Y)} entries, function has {g.n} variables")
-    return _prober(g)[1](Y)
+    _check_vector(g, Y)
+    r, flip = _prober(g)
+    s, _ = flip(index_of(Y))
+    return None if s == r else HighOrderVectorResult(tuple(Y), r, s)
 
 
 def high_order_search(g: TruthTable) -> tuple[int, list[HighOrderVectorResult]]:
@@ -102,12 +98,12 @@ def high_order_search(g: TruthTable) -> tuple[int, list[HighOrderVectorResult]]:
     Computes the order of g, its Farkas ray and its final solver state
     once, then at most two LPs per flip point.
     """
-    r, probe = _prober(g)
+    r, flip = _prober(g)
     results = []
-    for Y in all_vectors(g.n):
-        hit = probe(Y)
-        if hit is not None:
-            results.append(hit)
+    for j in range(g.size):
+        s, _ = flip(j)
+        if s != r:
+            results.append(HighOrderVectorResult(vector_at(j, g.n), r, s))
     return r, results
 
 
@@ -140,20 +136,24 @@ def order_reduce(g: TruthTable, Y: InputVector) -> OrderReduction:
     Returns the flipped function f2 with its degree-1 LP witness and the
     remainder f1 = g XOR f2, which has Y as its only true vector and the
     closed-form witness; both witnesses are checked by table equality.
+    The flip's order and witness come from the high-order probe, so the
+    error for a flip that is not threshold names its exact order.
     """
-    if len(Y) != g.n:
-        raise DimensionMismatch(f"vector has {len(Y)} entries, function has {g.n} variables")
+    _check_vector(g, Y)
     if g.n > MAX_PROBE_VARS:
         raise PreconditionError(f"order reduction capped at n <= {MAX_PROBE_VARS}, got {g.n}")
-    r = order(g)
+    r, flip = _prober(g)
     if r < 2:
         raise PreconditionError(f"function must have order >= 2 to reduce, got order {r}")
-    f2 = flip_at(g, Y)
-    f2_witness = is_threshold(f2)
-    if f2_witness is None:
+    s, proof = flip(index_of(Y))
+    if s > 1:
         raise PreconditionError(
-            f"flip at {Y} has order {order(f2)}, not a threshold function (g has order {r})"
+            f"flip at {Y} has order {s}, not a threshold function (g has order {r})"
         )
+    f2 = flip_at(g, Y)
+    f2_witness = _ptf_of(g.n, 1, proof)
+    if truth_table(f2_witness) != f2:
+        raise AssertionError("flip's degree-1 LP witness failed table check")
     f1 = xor(g, f2)
     if minterms(f1) != [tuple(Y)]:
         raise AssertionError("g XOR flip(g, Y) must be true exactly at Y")

@@ -77,8 +77,6 @@ def _dtype_for(bound: int):
 
 def _holds(A, b, num: list[int], den: int) -> bool:
     """Exact test of ``A @ num <= b * den`` for integer ``A``, ``b``, ``num``, ``den >= 0``."""
-    if A.shape[0] == 0:
-        return True
     bound = max(
         int(np.abs(A).max(initial=0)) * max(1, sum(map(abs, num))),
         int(np.abs(b).max()) * den,

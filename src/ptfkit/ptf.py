@@ -218,8 +218,8 @@ def realize_at_degree(f: TruthTable, d: int) -> PTF | None:
 
 def minimal_realization(f: TruthTable) -> tuple[int, PTF]:
     """The order of f with the realization :func:`realize_at_degree` gives there."""
-    r, proof, _, _ = _climb(f)
-    return r, _ptf_of(f.n, r, proof)
+    r, _, (_, _, res) = _climb(f)
+    return r, _ptf_of(f.n, r, res.proof)
 
 
 def order(f: TruthTable) -> int:
@@ -227,24 +227,23 @@ def order(f: TruthTable) -> int:
     return _climb(f)[0]
 
 
-def _climb(
-    f: TruthTable,
-) -> tuple[int, tuple[list[int], int], list[int] | None, tuple]:
-    """The order r of f, the multipliers ``(x, t)`` at r, the Farkas ray at r-1 and the state at r.
+def _climb(f: TruthTable) -> tuple[int, tuple | None, tuple]:
+    """The order r of f, and f's LPs at degrees r-1 and r, each as ``(A, b, result)``.
 
     Decides degree 0, 1, ... by :func:`lp.feasible`, each with a
-    re-checked proof, and stops at the first feasible degree.  The ray
-    (one entry per table index, None at r = 0) is the proof the climb
-    already holds when degree r-1 fails, and the state is the final
-    phase-1 state of the solve at r (a warm start for a flip of f there),
-    so neither costs an extra LP.
+    re-checked proof, and stops at the first feasible degree.  The LP
+    below r (None at r = 0) carries the Farkas ray the climb already holds
+    when degree r-1 fails, and the LP at r the multipliers ``(x, t)`` and
+    the final phase-1 state (a warm start for a flip of f there), so
+    neither costs an extra LP or a second encoding.
     """
-    ray = None
+    below = None
     for d in range(f.n + 1):
-        res = lp.feasible(*_realization_lp(f, d))
+        A, b = _realization_lp(f, d)
+        res = lp.feasible(A, b)
         if res.feasible:
-            return d, res.proof, ray, res.state
-        ray = res.proof
+            return d, below, (A, b, res)
+        below = A, b, res
     raise AssertionError("every function is realizable at degree n")
 
 

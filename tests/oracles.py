@@ -5,7 +5,8 @@ functions are enumerated by trying every small integer weight/threshold
 combination, certificates by direct multiset enumeration, LP systems by
 scanning integer grid points or by a plain full-tableau simplex, the
 shared-weight LP by a row-by-row encoder, monomial values by mask tests,
-and multithreshold synthesis by a recursive per-candidate scan.
+multithreshold synthesis by a recursive per-candidate scan, and order
+reduction by climbs from degree 0 in place of the high-order probe.
 """
 
 from __future__ import annotations
@@ -14,6 +15,10 @@ from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, product
 
 import numpy as np
+
+from ptfkit import flip_at, is_threshold, minterms, order, truth_table, xor
+from ptfkit.errors import DimensionMismatch, PreconditionError
+from ptfkit.highorder import MAX_PROBE_VARS, OrderReduction, single_minterm_witness
 
 
 def threshold_tables(n: int, weight_bound: int = 3, theta_bound: int = 9) -> frozenset:
@@ -270,3 +275,33 @@ def synthesize_reference(bits, n: int, k_max: int, weight_bound: int):
 
     scan(())
     return best
+
+
+def order_reduce_reference(g, Y):
+    """Order reduction with every order found by a climb from degree 0.
+
+    g's order, then ``is_threshold`` of the flip, and for a flip that is
+    not threshold its own climb to name its order: no high-order probe,
+    no ray and no warm start.  Raises what the reduction raises, with the
+    same messages.
+    """
+    if len(Y) != g.n:
+        raise DimensionMismatch(f"vector has {len(Y)} entries, function has {g.n} variables")
+    if g.n > MAX_PROBE_VARS:
+        raise PreconditionError(f"order reduction capped at n <= {MAX_PROBE_VARS}, got {g.n}")
+    r = order(g)
+    if r < 2:
+        raise PreconditionError(f"function must have order >= 2 to reduce, got order {r}")
+    f2 = flip_at(g, Y)
+    f2_witness = is_threshold(f2)
+    if f2_witness is None:
+        raise PreconditionError(
+            f"flip at {Y} has order {order(f2)}, not a threshold function (g has order {r})"
+        )
+    f1 = xor(g, f2)
+    if minterms(f1) != [tuple(Y)]:
+        raise AssertionError("g XOR flip(g, Y) must be true exactly at Y")
+    f1_witness = single_minterm_witness(tuple(Y))
+    if truth_table(f1_witness) != f1:
+        raise AssertionError("closed-form single-minterm witness failed table check")
+    return OrderReduction(g, tuple(Y), f2, f2_witness, f1, f1_witness)

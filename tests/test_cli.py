@@ -183,6 +183,20 @@ def test_family_malformed_monomial_exits_1(weights, n_args, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["eval", "{file}", "--at", "10"], ["extend", "0110", "{file}", "{file}"], ["family", "{file}"]],
+    ids=["eval", "extend", "family"],
+)
+@pytest.mark.parametrize("unreadable", ["undecodable", "nul-in-path"])
+def test_unreadable_file_exits_1(command, unreadable, tmp_path, capsys):
+    path = tmp_path / "f"
+    path.write_bytes(b"\xff\xfe")
+    name = str(path) if unreadable == "undecodable" else "a\x00b"
+    assert run([arg.format(file=name) for arg in command]) == 1
+    assert "error: cannot read" in capsys.readouterr().err
+
+
 def test_parse_error_exits_1(capsys):
     assert run(["analyze", "01x0"]) == 1
     assert "error" in capsys.readouterr().err

@@ -157,6 +157,15 @@ def test_table_from_a_list_equals_and_hashes_like_the_parsed_table():
     assert len({f, XOR2, TruthTable(2, iter((0, 1, 1, 0)))}) == 1
 
 
+@pytest.mark.parametrize("one", [True, 1.0], ids=["bool", "float"])
+def test_table_stores_entries_equal_to_0_or_1_as_ints(one):
+    f = TruthTable(2, (0, 1, 1, one))
+    assert format_table(f) == "0111"
+    assert [type(b) for b in f.bits] == [int] * 4
+    with pytest.raises(ValueError, match="entries must be 0 or 1"):
+        TruthTable(2, (0, 1, 1, 0.5))
+
+
 def test_from_bits_rejects_an_empty_or_single_bit_sequence():
     for bits in ([], [1]):
         with pytest.raises(ValueError, match="not 2\\^n for some n >= 1"):

@@ -26,9 +26,10 @@ from ptfkit import (
     xor,
 )
 from ptfkit import _simplex, highorder, lp
-from ptfkit.highorder import high_order_search, hov_to_json
-from ptfkit.ptf import _flipped_lp, _realization_lp
+from ptfkit.highorder import OrderReduction, high_order_search, hov_to_json
+from ptfkit.ptf import PTF, _flipped_lp
 from conftest import AND2, NAND2, OR2, XOR2, all_tables, parity_table
+from oracles import order_reduce_reference
 
 
 def test_is_high_order_vector_examples():
@@ -100,22 +101,27 @@ def test_probes_match_climbing_order_on_sampled_n4_tables():
     assert {0, 1, 2, 3, 4} <= seen
 
 
-def test_a_probe_solves_at_most_two_lps(monkeypatch):
-    solves = 0
+def _counted_solves(monkeypatch) -> Counter:
+    """Count every LP solved through lp.feasible under the key "lp"."""
+    solves = Counter()
     real_feasible = lp.feasible
 
     def counting_feasible(A, b, start=None):
-        nonlocal solves
-        solves += 1
+        solves["lp"] += 1
         return real_feasible(A, b, start)
 
     monkeypatch.setattr(lp, "feasible", counting_feasible)
+    return solves
+
+
+def test_a_probe_solves_at_most_two_lps(monkeypatch):
+    solves = _counted_solves(monkeypatch)
     for n in (2, 3):
         for g in all_tables(n):
-            solves = 0
+            solves.clear()
             r, _ = high_order_search(g)
             # r + 1 LPs find g's order, then at most two per probe
-            assert solves <= r + 1 + 2 * g.size
+            assert solves["lp"] <= r + 1 + 2 * g.size
 
 
 def _entry_case(state, j):
@@ -143,10 +149,10 @@ def _warm_probe_cases(tables, monkeypatch):
     monkeypatch.setattr(_simplex, "_warm_start", recording)
     cases = Counter()
     for g in tables:
-        r, _, _, state = highorder._climb(g)
+        r, _, (A, b, res) = highorder._climb(g)
         if r == g.n:
             continue
-        A, b = _realization_lp(g, r)
+        state = res.state
         for j in range(g.size):
             flipped = _flipped_lp(A, b, j)
             case = _entry_case(state, j)
@@ -168,12 +174,13 @@ def test_warm_verdicts_match_cold_on_sampled_n4_tables(monkeypatch):
 
 
 def test_forged_reused_ray_raises(monkeypatch):
-    r, proof, ray, state = highorder._climb(AND2)
-    zeros = [i for i, y in enumerate(ray) if y == 0]
+    r, (A, b, res), at = highorder._climb(AND2)
+    zeros = [i for i, y in enumerate(res.proof) if y == 0]
     assert r == 1 and len(zeros) >= 2
-    forged = list(ray)
+    forged = list(res.proof)
     forged[zeros[0]] = 1
-    monkeypatch.setattr(highorder, "_climb", lambda g: (r, proof, forged, state))
+    below = A, b, lp.FeasibilityResult(False, forged)
+    monkeypatch.setattr(highorder, "_climb", lambda g: (r, below, at))
     with pytest.raises(AssertionError, match="Farkas ray"):
         high_order_search(AND2)
     with pytest.raises(AssertionError, match="Farkas ray"):
@@ -239,6 +246,54 @@ def test_order_reduce_rejects_non_threshold_flip():
     with pytest.raises(PreconditionError) as err:
         order_reduce(xor3, (1, 1, 1))
     assert "order" in str(err.value)
+
+
+def _reduction(reduce, g, Y):
+    try:
+        return reduce(g, Y)
+    except (PreconditionError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_order_reduce_matches_the_climbing_reference(n, monkeypatch):
+    tables = _sampled_n4_tables() if n == 4 else list(all_tables(n))
+    kinds = set()
+    for g in tables:
+        r = order(g)
+        for Y in all_vectors(n):
+            want = _reduction(order_reduce_reference, g, Y)
+            with monkeypatch.context() as m:
+                solves = _counted_solves(m)
+                got = _reduction(order_reduce, g, Y)
+            assert got == want
+            # r + 1 LPs climb g, then at most two probe the flip
+            assert solves["lp"] <= r + 3
+            kinds.add("reduced" if isinstance(got, OrderReduction) else got[1].split()[0])
+    # a reduction, g of order < 2 ("function ..."), a flip that is not threshold ("flip ...")
+    want = {1: {"function"}, 2: {"reduced", "function"}}.get(n, {"reduced", "function", "flip"})
+    assert kinds == want
+
+
+def test_order_reduce_solves_no_lp_twice(monkeypatch):
+    solves = _counted_solves(monkeypatch)
+    # parity-4: 5 LPs climb g, one solves the flip at degree 3, which is feasible
+    for Y in all_vectors(4):
+        solves.clear()
+        with pytest.raises(PreconditionError, match=r"has order 3, not a threshold"):
+            order_reduce(parity_table(4), Y)
+        assert solves["lp"] == 6
+    # XOR2: 3 LPs climb g, one solves the flip at degree 1
+    solves.clear()
+    order_reduce(XOR2, (1, 1))
+    assert solves["lp"] == 4
+
+
+def test_forged_flip_witness_raises(monkeypatch):
+    # the witness of the flip's degree-1 LP is checked against the flipped table
+    monkeypatch.setattr(highorder, "_ptf_of", lambda n, d, proof: PTF(n, {(1,): 1}, 1))
+    with pytest.raises(AssertionError, match="table check"):
+        order_reduce(XOR2, (1, 1))
 
 
 def test_reduction_sweep_exhaustive_n2():

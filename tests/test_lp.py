@@ -239,8 +239,8 @@ def test_farkas_overflow_mid_solve_restarts_on_object_dtype(A, b, monkeypatch):
 def _flip_probe(code: str, j: int):
     """g's final phase-1 state at its order, and g's LP there flipped at table index j."""
     g = parse_table(code)
-    r, _, _, state = ptf._climb(g)
-    return state, ptf._flipped_lp(*ptf._realization_lp(g, r), j)
+    _, _, (A, b, res) = ptf._climb(g)
+    return res.state, ptf._flipped_lp(A, b, j)
 
 
 @pytest.mark.parametrize("code, j", [("0011", 0), ("0011", 1)], ids=["nonbasic", "degenerate"])
