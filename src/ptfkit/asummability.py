@@ -26,20 +26,20 @@ from math import comb
 
 import numpy as np
 
-from .core import InputVector, TruthTable, index_of, vector_at
-from .errors import PreconditionError
+from .core import InputVector, TruthTable, _index, vector_at
+from .errors import DimensionMismatch, PreconditionError
 from .ptf import PTF, is_threshold
-
-# Multiset enumeration is exponential in 2^n; keep searches at desk scale.
-MAX_SEARCH_VARS = 6
-MAX_REPORT_VARS = 4
 
 # The search enumerates every size-2..m multiset of true and of false
 # points, so time and memory grow with the count of the vector entries
 # those multisets hold.  At this cap a search takes about 0.5 s and 100 MB
 # of peak RSS on a 2-CPU x86_64 VM (0.3 s and 91 MB for k <= 5 over a 26/38
 # split of the n = 6 points, 0.45 s and 100 MB for k <= 6 over a 5/27
-# split at n = 5).
+# split at n = 5).  The count also caps n: it admits n = 11 at m = 2
+# (0.15 s and 63 MB over a 1024/1024 split, 0.26 s and 101 MB over
+# 335/1713) and no non-constant table at n >= 12.  A key is below
+# (k+1)^n <= 3^11 < 2^18 over every search the count admits, so the
+# int64 keys are exact.
 MAX_SEARCH_CELLS = 1 << 25
 
 
@@ -58,12 +58,15 @@ class SummabilityCertificate:
         return t, f
 
     def verify(self, f: TruthTable) -> bool:
-        """Re-check the certificate by addition and membership."""
+        """Re-check the certificate by addition and membership; a non-input of f fails."""
         if self.k < 2 or len(self.true_vectors) != self.k or len(self.false_vectors) != self.k:
             return False
-        if any(f.bits[index_of(v)] != 1 for v in self.true_vectors):
-            return False
-        if any(f.bits[index_of(v)] != 0 for v in self.false_vectors):
+        try:
+            if any(f.bits[_index(f.n, v)] != 1 for v in self.true_vectors):
+                return False
+            if any(f.bits[_index(f.n, v)] != 0 for v in self.false_vectors):
+                return False
+        except (DimensionMismatch, ValueError):
             return False
         t, fs = self.sums()
         return t == fs
@@ -93,16 +96,14 @@ def find_certificate(f: TruthTable, m: int) -> SummabilityCertificate | None:
     Ties at the minimal k are broken by lexicographic order on the pair of
     index multisets, true side first.
 
-    Preconditions: ``m >= 2``, ``f.n <= MAX_SEARCH_VARS``, and the size-2
-    to size-m multisets of true and of false vectors hold at most
-    ``MAX_SEARCH_CELLS`` vector entries in all; the last is counted before
-    anything is enumerated, whether or not a smaller k would find a
-    certificate.
+    Preconditions: ``m >= 2``, and the size-2 to size-m multisets of true
+    and of false vectors hold at most ``MAX_SEARCH_CELLS`` vector entries
+    in all, counted before anything is enumerated, whether or not a
+    smaller k would find a certificate.  The count admits n <= 11 (n = 11
+    at m = 2 takes 0.15 to 0.26 s on a 2-CPU x86_64 VM).
     """
     if m < 2:
         raise PreconditionError(f"multiset bound must be >= 2, got {m}")
-    if f.n > MAX_SEARCH_VARS:
-        raise PreconditionError(f"certificate search capped at n <= {MAX_SEARCH_VARS}, got {f.n}")
     true_idx = [i for i, b in enumerate(f.bits) if b]
     false_idx = [i for i, b in enumerate(f.bits) if not b]
     if not true_idx or not false_idx:
@@ -162,9 +163,10 @@ def check_asummability_theorem(f: TruthTable, m_max: int) -> ConsistencyReport:
     and so does a certificate.  A non-threshold function with no
     certificate up to m_max is reported inconclusive, not inconsistent,
     because only a bounded search ran.
+
+    Capped by ``ptf.MAX_LP_VARS`` and ``MAX_SEARCH_CELLS``: at n = 10 with
+    m_max = 2 it takes about 0.05 s on a 2-CPU x86_64 VM.
     """
-    if f.n > MAX_REPORT_VARS:
-        raise PreconditionError(f"cross-check capped at n <= {MAX_REPORT_VARS}, got {f.n}")
     witness = is_threshold(f)
     cert = find_certificate(f, m_max)
     lp_threshold = witness is not None

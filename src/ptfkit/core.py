@@ -64,7 +64,7 @@ def index_of(X: InputVector) -> int:
     for i, x in enumerate(X):
         if x not in (0, 1):
             raise ValueError(f"input entries must be 0 or 1, got {x!r}")
-        idx |= x << i
+        idx |= int(x) << i
     return idx
 
 
@@ -94,9 +94,11 @@ def from_bits(bits) -> TruthTable:
     return TruthTable(n, bits)
 
 
-def _check_vector(f: TruthTable, X: InputVector) -> None:
-    if len(X) != f.n:
-        raise DimensionMismatch(f"vector has {len(X)} entries, function has {f.n} variables")
+def _index(n: int, X: InputVector) -> int:
+    """Table index of X; DimensionMismatch unless it has n entries, ValueError unless 0/1."""
+    if len(X) != n:
+        raise DimensionMismatch(f"vector has {len(X)} entries, function has {n} variables")
+    return index_of(X)
 
 
 def _check_same(f: TruthTable, g: TruthTable) -> None:
@@ -106,8 +108,7 @@ def _check_same(f: TruthTable, g: TruthTable) -> None:
 
 def evaluate(f: TruthTable, X: InputVector) -> int:
     """f(X)."""
-    _check_vector(f, X)
-    return f.bits[index_of(X)]
+    return f.bits[_index(f.n, X)]
 
 
 def xor(f: TruthTable, g: TruthTable) -> TruthTable:
@@ -118,8 +119,7 @@ def xor(f: TruthTable, g: TruthTable) -> TruthTable:
 
 def flip_at(g: TruthTable, Y: InputVector) -> TruthTable:
     """The function that differs from g exactly at Y (an involution)."""
-    _check_vector(g, Y)
-    idx = index_of(Y)
+    idx = _index(g.n, Y)
     bits = list(g.bits)
     bits[idx] ^= 1
     return TruthTable(g.n, tuple(bits))
@@ -168,32 +168,25 @@ def parse_table(text: str) -> TruthTable:
         digits = text[2:]
         if not digits or any(c not in "0123456789abcdefABCDEF" for c in digits):
             raise ParseError(f"invalid hex truth table {text!r}")
-        bits = []
-        for c in digits:
-            v = int(c, 16)
-            bits.extend(((v >> 3) & 1, (v >> 2) & 1, (v >> 1) & 1, v & 1))
-    else:
-        if not text or any(c not in "01" for c in text):
-            raise ParseError(f"invalid binary truth table {text!r}")
-        bits = [int(c) for c in text]
-    n = len(bits).bit_length() - 1
-    if 1 << n != len(bits) or n < 1:
-        raise ParseError(f"table length {len(bits)} is not 2^n for some n >= 1")
+        text = format(int(digits, 16), f"0{4 * len(digits)}b")
+    elif not text or any(c not in "01" for c in text):
+        raise ParseError(f"invalid binary truth table {text!r}")
+    n = len(text).bit_length() - 1
+    if 1 << n != len(text) or n < 1:
+        raise ParseError(f"table length {len(text)} is not 2^n for some n >= 1")
     if n > MAX_VARS:
         raise ParseError(f"table implies n={n}, above the cap of {MAX_VARS}")
-    return TruthTable(n, tuple(bits))
+    return TruthTable(n, tuple(map(int, text)))
 
 
 def format_table(f: TruthTable, style: str = "bin") -> str:
     """Render a table as a binary string or a "0x"-hex string."""
+    text = "".join(map(str, f.bits))
     if style == "bin":
-        return "".join(str(b) for b in f.bits)
+        return text
     if style == "hex":
         if f.n < 2:
             raise ValueError("hex form requires n >= 2")
-        chars = []
-        for j in range(0, f.size, 4):
-            b = f.bits
-            chars.append("0123456789abcdef"[b[j] << 3 | b[j + 1] << 2 | b[j + 2] << 1 | b[j + 3]])
-        return "0x" + "".join(chars)
+        # int-string digit limits exempt power-of-two bases, so n = 16 converts
+        return "0x" + format(int(text, 2), f"0{f.size // 4}x")
     raise ValueError(f"unknown style {style!r}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
-from .core import InputVector, TruthTable, _check_vector, flip_at, index_of, minterms, vector_at, xor
+from .core import InputVector, TruthTable, _index, flip_at, minterms, vector_at, xor
 from .errors import PreconditionError
 from .ptf import PTF, _climb, _flipped_lp, _ptf_of, truth_table
 
@@ -86,9 +86,9 @@ def _prober(g: TruthTable):
 
 def is_high_order_vector(g: TruthTable, Y: InputVector) -> HighOrderVectorResult | None:
     """Present iff flipping g at Y changes the minimal order."""
-    _check_vector(g, Y)
+    j = _index(g.n, Y)
     r, flip = _prober(g)
-    s, _ = flip(index_of(Y))
+    s, _ = flip(j)
     return None if s == r else HighOrderVectorResult(tuple(Y), r, s)
 
 
@@ -114,6 +114,7 @@ def high_order_vectors(g: TruthTable) -> list[HighOrderVectorResult]:
 
 def single_minterm_witness(Y: InputVector) -> PTF:
     """Closed-form degree-1 realization of the function true only at Y."""
+    _index(len(Y), Y)
     weights = {(i + 1,): Fraction(2 * y - 1) for i, y in enumerate(Y)}
     return PTF(len(Y), weights, Fraction(sum(Y)))
 
@@ -139,13 +140,11 @@ def order_reduce(g: TruthTable, Y: InputVector) -> OrderReduction:
     The flip's order and witness come from the high-order probe, so the
     error for a flip that is not threshold names its exact order.
     """
-    _check_vector(g, Y)
-    if g.n > MAX_PROBE_VARS:
-        raise PreconditionError(f"order reduction capped at n <= {MAX_PROBE_VARS}, got {g.n}")
+    j = _index(g.n, Y)
     r, flip = _prober(g)
     if r < 2:
         raise PreconditionError(f"function must have order >= 2 to reduce, got order {r}")
-    s, proof = flip(index_of(Y))
+    s, proof = flip(j)
     if s > 1:
         raise PreconditionError(
             f"flip at {Y} has order {s}, not a threshold function (g has order {r})"

@@ -5,7 +5,8 @@ XOR list holds k arbitrary degree-<=1 realizations and outputs the parity
 of their values.  A shared-weight form holds one weight map and k sorted
 thresholds; the output at X is the parity of how many thresholds the
 weighted sum meets, i.e. 0 below the first threshold and flipping at each
-one.  A plain threshold function is exactly the k=1 case.
+one.  A plain threshold function is exactly the k=1 case, and both are
+evaluated and tabulated by the same helpers of :mod:`ptfkit.ptf`.
 
 Synthesis tabulates every weight vector of a small integer box at once,
 by one subset-sum transform: a vector works iff the function is constant
@@ -22,12 +23,10 @@ unreachable without it and exactly restore the original pair with it.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import ceil
 
 import numpy as np
 
@@ -37,8 +36,11 @@ from .ptf import (
     PTF,
     WeightMap,
     _normalize_weights,
+    _parity_met,
     _scaled_sums,
     _subset_sums,
+    _tabulate,
+    evaluate,
     format_fraction,
     format_monomial,
     format_ptf_text,
@@ -47,7 +49,6 @@ from .ptf import (
     parse_ptf_text,
     share_weights,
     truth_table,
-    weighted_sum,
 )
 
 # Integer weight boxes grow as (2B+1)^n; keep synthesis at desk scale.
@@ -99,32 +100,19 @@ MultithresholdRep = XorList | SharedWeight
 
 def eval_xor_list(members, X: InputVector) -> int:
     """Parity of the member outputs at X."""
-    members = tuple(members)
-    if any(p.n != len(X) for p in members):
-        raise DimensionMismatch("vector length disagrees with an XOR list member")
-    bit = 0
-    for p in members:
-        if weighted_sum(p.coeffs, X) >= p.theta:
-            bit ^= 1
-    return bit
+    return sum(evaluate(p, X) for p in members) & 1
 
 
 def eval_shared_weight(rep: SharedWeight, X: InputVector) -> int:
     """Parity of the number of thresholds met by the weighted sum at X."""
-    if len(X) != rep.n:
-        raise DimensionMismatch(f"vector has {len(X)} entries, rep has {rep.n} variables")
-    g = weighted_sum(rep.weights, X)
-    met = sum(1 for t in rep.thresholds if g >= t)
-    return met & 1
+    return _parity_met(rep.n, rep.weights, rep.thresholds, X)
 
 
 def to_truth_table(rep: MultithresholdRep) -> TruthTable:
     """Tabulate either representation over all 2^n inputs."""
     if isinstance(rep, XorList):
         return reduce(xor, map(truth_table, rep.members))
-    sums, scale = _scaled_sums(rep.weights, rep.n)
-    cuts = [ceil(t * scale) for t in rep.thresholds]
-    return TruthTable(rep.n, tuple(bisect_right(cuts, g) & 1 for g in sums))
+    return _tabulate(rep.n, rep.weights, rep.thresholds)
 
 
 def _weight_search_order(bound: int) -> list[int]:

@@ -5,7 +5,9 @@ weights over monomials (products of distinct variables, no constant
 term) together with a threshold theta: g(X) = 1 iff G(X) >= theta.  The
 order of g is the smallest monomial degree that suffices; order 1 is the
 linearly separable case and constants get order 0 by the empty-weight
-convention.
+convention.  A PTF is the one-threshold (k = 1) case of the shared-weight
+form in :mod:`ptfkit.multithreshold`; one point evaluator and one
+tabulator serve both.
 
 Realizability at a given degree is decided exactly by LP feasibility.
 For each true vector the constraint is G(X) - theta >= 0 and for each
@@ -16,6 +18,7 @@ so no strict inequalities are needed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -25,15 +28,14 @@ from math import ceil, lcm
 import numpy as np
 
 from . import lp
-from .core import MAX_VARS, InputVector, TruthTable
-from .errors import DimensionMismatch, ParseError, PreconditionError
+from .core import MAX_VARS, InputVector, TruthTable, _check_same, _index
+from .errors import ParseError, PreconditionError
 
 # LP systems have 2^n rows; keep realizability calls at desk scale.
 MAX_LP_VARS = 10
 
 # A same-weight family builds one 2^n-entry table per member, and n = 16
-# allows up to 2^16 + 1 members, so the caps bound the total entries.
-MAX_FAMILY_VARS = MAX_VARS
+# allows up to 2^16 + 1 members, so this cap bounds the total entries.
 MAX_FAMILY_CELLS = 1 << 22
 
 Monomial = tuple[int, ...]
@@ -94,14 +96,23 @@ def weighted_sum(weights: WeightMap, X: InputVector) -> Fraction:
 
 def eval_G(p: PTF, X: InputVector) -> Fraction:
     """The polynomial part of p at X."""
-    if len(X) != p.n:
-        raise DimensionMismatch(f"vector has {len(X)} entries, PTF has {p.n} variables")
+    _index(p.n, X)
     return weighted_sum(p.coeffs, X)
+
+
+def _parity_met(n: int, weights: WeightMap, thresholds, X: InputVector) -> int:
+    """Parity of the ``thresholds`` that the weighted sum at X meets.
+
+    A threshold function is the one-threshold case.
+    """
+    _index(n, X)
+    g = weighted_sum(weights, X)
+    return sum(1 for t in thresholds if g >= t) & 1
 
 
 def evaluate(p: PTF, X: InputVector) -> int:
     """p(X): 1 iff the polynomial value meets the threshold."""
-    return 1 if eval_G(p, X) >= p.theta else 0
+    return _parity_met(p.n, p.coeffs, (p.theta,), X)
 
 
 def _mask(m: Monomial) -> int:
@@ -136,11 +147,16 @@ def _scaled_sums(weights: WeightMap, n: int) -> tuple[list[int], int]:
     return _subset_sums(G).tolist(), scale
 
 
+def _tabulate(n: int, weights: WeightMap, thresholds) -> TruthTable:
+    """:func:`_parity_met` at every input of B^n, for sorted ``thresholds``."""
+    sums, scale = _scaled_sums(weights, n)
+    cuts = [ceil(t * scale) for t in thresholds]
+    return TruthTable(n, tuple(bisect_right(cuts, g) & 1 for g in sums))
+
+
 def truth_table(p: PTF) -> TruthTable:
     """Tabulate p over all 2^n inputs."""
-    sums, scale = _scaled_sums(p.coeffs, p.n)
-    cut = ceil(p.theta * scale)
-    return TruthTable(p.n, tuple(1 if g >= cut else 0 for g in sums))
+    return _tabulate(p.n, p.coeffs, (p.theta,))
 
 
 def monomials_up_to(n: int, d: int) -> list[Monomial]:
@@ -275,14 +291,14 @@ def same_weight_family(weights, n: int) -> SameWeightFamily:
     function.  Members are totally ordered by pointwise implication.  The
     levels come from one exact subset-sum transform (:func:`_subset_sums`).
 
-    Preconditions: ``1 <= n <= MAX_FAMILY_VARS``, and the member tables
+    Preconditions: ``1 <= n <= MAX_VARS``, and the member tables
     hold at most ``MAX_FAMILY_CELLS`` entries in all; the second is checked
     once the levels are known, before any member table is built.  Within
     these caps a family takes under a second on a 2-CPU x86_64 VM: about
     0.4 s for 64 members at n = 16, and 0.04 s for two weights at n = 16.
     """
-    if not 1 <= n <= MAX_FAMILY_VARS:
-        raise PreconditionError(f"same-weight family needs 1 <= n <= {MAX_FAMILY_VARS}, got {n}")
+    if not 1 <= n <= MAX_VARS:
+        raise PreconditionError(f"same-weight family needs 1 <= n <= {MAX_VARS}, got {n}")
     weights = _normalize_weights(weights, n)
     values, scale = _scaled_sums(weights, n)
     cuts = sorted(set(values))
@@ -308,8 +324,7 @@ def share_weights(
     One LP over shared weights w and two thresholds; present exactly when
     the two functions belong to one same-weight family.
     """
-    if f.n != g.n:
-        raise DimensionMismatch(f"operands have {f.n} and {g.n} variables")
+    _check_same(f, g)
     # each table's degree-1 rows, with a zero column for the other's theta
     n = f.n
     Af, bf = _realization_lp(f, 1)

@@ -288,7 +288,7 @@ def order_reduce_reference(g, Y):
     if len(Y) != g.n:
         raise DimensionMismatch(f"vector has {len(Y)} entries, function has {g.n} variables")
     if g.n > MAX_PROBE_VARS:
-        raise PreconditionError(f"order reduction capped at n <= {MAX_PROBE_VARS}, got {g.n}")
+        raise PreconditionError(f"high-order probes capped at n <= {MAX_PROBE_VARS}, got {g.n}")
     r = order(g)
     if r < 2:
         raise PreconditionError(f"function must have order >= 2 to reduce, got order {r}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from ptfkit import (
     PreconditionError,
+    SummabilityCertificate,
     TruthTable,
     check_asummability_theorem,
     const,
@@ -31,6 +33,26 @@ def test_xor2_classic_certificate():
     assert cert.false_vectors == ((0, 0), (1, 1))
     t, f = cert.sums()
     assert t == f == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "k, true_vectors, false_vectors",
+    [
+        (1, ((1, 0),), ((0, 0),)),
+        (2, ((1, 0), (0, 1), (1, 0)), ((0, 0), (1, 1))),
+        (2, ((0, 0), (1, 1)), ((0, 0), (1, 1))),
+        (2, ((1, 0), (0, 1)), ((1, 0), (0, 1))),
+        (2, ((1, 0), (1, 0)), ((0, 0), (1, 1))),
+        (2, ((1, 0, 0), (0, 1, 0)), ((0, 0, 0), (1, 1, 0))),
+        (2, ((1, 0), (0, 1)), ((0, 0), (0, 1, 1))),
+        (2, ((1, 0), (0, 1)), ((0, 0), (2, 0))),
+    ],
+    ids=["k-below-2", "wrong-multiset-size", "true-where-f-is-0", "false-where-f-is-1",
+         "unequal-sums", "vectors-too-long", "vector-past-the-table", "entry-2"],
+)
+def test_bad_certificates_fail_verification(k, true_vectors, false_vectors):
+    assert SummabilityCertificate(2, ((1, 0), (0, 1)), ((0, 0), (1, 1))).verify(XOR2)
+    assert not SummabilityCertificate(k, true_vectors, false_vectors).verify(XOR2)
 
 
 def test_threshold_functions_have_no_certificate():
@@ -63,6 +85,32 @@ def test_search_cap_holds_even_when_a_small_k_would_find_a_certificate():
     assert find_certificate(parity6, 2) is not None
     with pytest.raises(PreconditionError, match="cap"):
         find_certificate(parity6, 6)
+
+
+def _dictator(n: int) -> TruthTable:
+    """The threshold function x_1 on n variables: 2^(n-1) true points, 2^(n-1) false."""
+    return TruthTable(n, tuple(i & 1 for i in range(1 << n)))
+
+
+def test_search_count_admits_n11_at_m2_and_refuses_n12_at_once(monkeypatch):
+    started = time.perf_counter()
+    assert find_certificate(_dictator(11), 2) is None
+    assert time.perf_counter() - started < 1
+
+    def no_enumeration(*args):
+        raise AssertionError("multisets enumerated above the cap")
+
+    monkeypatch.setattr(asummability, "_multiset_sums", no_enumeration)
+    with pytest.raises(PreconditionError, match="cap"):
+        find_certificate(_dictator(12), 2)
+
+
+def test_theorem_check_runs_up_to_the_lp_cap():
+    rep = check_asummability_theorem(_dictator(10), 2)
+    assert rep.lp_threshold and rep.certificate is None
+    assert rep.consistent and not rep.inconclusive
+    with pytest.raises(PreconditionError, match="LP capped"):
+        check_asummability_theorem(_dictator(11), 2)
 
 
 def test_multiset_keys_encode_the_summed_vectors():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ptfkit import PTF, XorList, all_vectors, evaluate, parse_table
+from ptfkit import PTF, XorList, all_vectors, evaluate, lp, parse_table
 from ptfkit.cli import run
 from ptfkit.multithreshold import xor_list_to_json
 from ptfkit.ptf import parse_ptf_text
@@ -147,9 +147,10 @@ def test_eval_xor_list_keeps_its_variable_count(tmp_path, capsys):
         '{"weights": {"1": 1}, "thresholds": ["1"]}',
         '{"n": "two", "weights": {"1": "1"}, "thresholds": ["1"]}',
         '["1+2: 1\\ntheta: 1\\n"]',
+        '{"n": 2, "weights": {"3": "1"}, "thresholds": []}',
     ],
     ids=["empty-object", "empty-list", "scalar", "non-string-members", "numeric-weights",
-         "non-integer-n", "xor-member-order-2"],
+         "non-integer-n", "xor-member-order-2", "weight-above-n"],
 )
 def test_eval_malformed_json_exits_1(content, tmp_path, capsys):
     rep_file = tmp_path / "rep.json"
@@ -195,6 +196,26 @@ def test_unreadable_file_exits_1(command, unreadable, tmp_path, capsys):
     name = str(path) if unreadable == "undecodable" else "a\x00b"
     assert run([arg.format(file=name) for arg in command]) == 1
     assert "error: cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", [["family", "{file}"], ["eval", "{file}", "--at", "1"]], ids=["family", "eval"]
+)
+def test_zero_denominator_exits_1(command, tmp_path, capsys):
+    path = tmp_path / "w.txt"
+    path.write_text("1: 1/0\n")
+    assert run([arg.format(file=path) for arg in command]) == 1
+    assert "invalid rational" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["hov"], ["reduce", "--at", "1111111"]], ids=["hov", "reduce"])
+def test_probes_above_the_cap_exit_2_before_any_lp(command, capsys, monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP ran above the probe cap")
+
+    monkeypatch.setattr(lp, "feasible", no_lp)
+    assert run([command[0], "0" * 128, *command[1:]]) == 2
+    assert "capped at n <= 6" in capsys.readouterr().err
 
 
 def test_parse_error_exits_1(capsys):

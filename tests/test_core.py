@@ -7,23 +7,31 @@ import random
 import pytest
 
 from ptfkit import (
+    PTF,
     DimensionMismatch,
     ParseError,
+    SharedWeight,
     TruthTable,
     all_vectors,
     cofactor,
     compose_by_variable,
     const,
+    eval_G,
+    eval_shared_weight,
+    eval_xor_list,
     evaluate,
     flip_at,
     format_table,
     from_bits,
     index_of,
+    is_high_order_vector,
     minterms,
+    order_reduce,
     parse_table,
     vector_at,
     xor,
 )
+from ptfkit import lp, ptf
 from conftest import AND2, CONST0_2, CONST1_2, OR2, XOR2, all_tables
 
 
@@ -39,6 +47,8 @@ def test_index_is_bijection():
 
 def test_evaluate_examples():
     assert evaluate(XOR2, (1, 0)) == 1
+    # entries equal to 0 or 1 index like them, as in a table
+    assert evaluate(XOR2, (1.0, False)) == 1
     assert evaluate(XOR2, (1, 1)) == 0
     assert evaluate(AND2, (1, 1)) == 1
 
@@ -46,6 +56,36 @@ def test_evaluate_examples():
 def test_evaluate_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         evaluate(XOR2, (1, 0, 1))
+
+
+OR2_PTF = PTF(2, {(1,): 1, (2,): 1}, 1)
+
+# every library function that takes an input vector, on a 2-variable input
+VECTOR_ENTRY_POINTS = {
+    "evaluate": lambda X: evaluate(XOR2, X),
+    "flip_at": lambda X: flip_at(XOR2, X),
+    "eval_G": lambda X: eval_G(OR2_PTF, X),
+    "ptf.evaluate": lambda X: ptf.evaluate(OR2_PTF, X),
+    "eval_shared_weight": lambda X: eval_shared_weight(SharedWeight(2, {(1,): 1, (2,): 1}, (1, 2)), X),
+    "eval_xor_list": lambda X: eval_xor_list([OR2_PTF, OR2_PTF], X),
+    "is_high_order_vector": lambda X: is_high_order_vector(XOR2, X),
+    "order_reduce": lambda X: order_reduce(XOR2, X),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(VECTOR_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "X, error",
+    [((2, 0), ValueError), ((1, 0, 0), DimensionMismatch), ((1,), DimensionMismatch)],
+    ids=["entry-2", "too-long", "too-short"],
+)
+def test_every_vector_entry_point_checks_the_vector_before_any_lp(entry, X, error, monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP ran before the vector was checked")
+
+    monkeypatch.setattr(lp, "feasible", no_lp)
+    with pytest.raises(error):
+        VECTOR_ENTRY_POINTS[entry](X)
 
 
 def test_xor_examples():
@@ -126,10 +166,15 @@ def test_parse_format_round_trip():
     g = parse_table("0x6")
     assert g == XOR2
     assert format_table(XOR2, "hex") == "0x6"
+    # 2^14 hex digits: the int-string digit limit spares power-of-two bases
+    rng = random.Random(16)
+    f = TruthTable(16, tuple(rng.getrandbits(1) for _ in range(1 << 16)))
+    assert parse_table(format_table(f, "hex")) == f
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "012", "0x", "0xgg", "011", "2"):
+    # the last implies n = 17, above the cap
+    for bad in ("", "012", "0x", "0xgg", "011", "2", "0x" + "0" * (1 << 15)):
         with pytest.raises(ParseError):
             parse_table(bad)
 

@@ -313,6 +313,24 @@ def test_single_minterm_witness_shape():
     w = single_minterm_witness((1, 0, 1))
     assert w.coeffs == {(1,): 1, (2,): -1, (3,): 1}
     assert w.theta == 2
+    with pytest.raises(ValueError, match="0 or 1"):
+        single_minterm_witness((1, 2, 0))
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [
+        high_order_vectors,
+        lambda g: is_high_order_vector(g, (1,) * 7),
+        lambda g: order_reduce(g, (1,) * 7),
+    ],
+    ids=["high_order_vectors", "is_high_order_vector", "order_reduce"],
+)
+def test_probes_above_the_cap_raise_before_any_lp(probe, monkeypatch):
+    solves = _counted_solves(monkeypatch)
+    with pytest.raises(PreconditionError, match="capped at n <= 6, got 7"):
+        probe(parity_table(7))
+    assert solves["lp"] == 0
 
 
 def test_hov_json_shape():

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ptfkit import PTF, lp, parse_table, ptf
+from ptfkit import PTF, TruthTable, lp, parse_table, ptf
 from ptfkit import _simplex
 from conftest import all_tables
 from oracles import farkas_phase1_reference, find_integer_point, full_tableau_solve
@@ -292,26 +290,27 @@ def test_warm_start_past_the_guard_restarts_on_the_cold_ladder(code, j, over, mo
 
 # Reversing the rows of this n=7 table's degree-3 LP (its order is 3) makes
 # plain Dantzig pricing cycle; the guard must switch to Bland's rule.
-_CYCLING_LP = """
-from ptfkit import TruthTable, lp, ptf
-code = int("c493145e679b9e1ec0c29f21b234ae9c", 16)
-f = TruthTable(7, tuple((code >> i) & 1 for i in range(128)))
-A, b = ptf._realization_lp(f, 3)
-print(lp.feasible(A[::-1], b[::-1]).feasible)
-"""
+def test_repeated_basis_switches_dantzig_to_bland(monkeypatch):
+    # Bit i is the output at index i.  The guard switches once and the solve
+    # ends after 552 pivots; in table order no basis repeats.  A pivot budget
+    # makes a missing guard fail fast instead of cycling forever.
+    code = 0xC493145E679B9E1EC0C29F21B234AE9C
+    f = TruthTable(7, tuple((code >> i) & 1 for i in range(128)))
+    A, b = ptf._realization_lp(f, 3)
+    pivots = 0
+    real_pivot = _simplex._pivot
 
+    def budgeted_pivot(*args):
+        nonlocal pivots
+        pivots += 1
+        if pivots > 5000:
+            raise AssertionError("pivot budget spent: the solve is cycling")
+        return real_pivot(*args)
 
-def test_repeated_basis_switches_dantzig_to_bland(subprocess_env):
-    # a child with a timeout, so a missing cycle guard fails instead of hanging
-    proc = subprocess.run(
-        [sys.executable, "-c", _CYCLING_LP],
-        capture_output=True,
-        text=True,
-        env=subprocess_env(),
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "True"
+    monkeypatch.setattr(_simplex, "_pivot", budgeted_pivot)
+    res = _checked(A[::-1], b[::-1])
+    assert res.feasible
+    assert lp.feasible(A, b).feasible == res.feasible
 
 
 # 0 <= x <= 1 is feasible; x <= 1 with x >= 2 is not (ray y = (1, 1))
@@ -335,6 +334,17 @@ def test_bad_proofs_raise(system, forged, monkeypatch):
         monkeypatch.setattr(_simplex, name, fake)
     with pytest.raises(AssertionError):
         lp.feasible(A, b)
+
+
+@pytest.mark.parametrize(
+    "y", [[1, 1], [1, 1, 0, 0], [1, 1, -1]], ids=["too-short", "too-long", "negative-entry"]
+)
+def test_farkas_ray_check_rejects_a_malformed_ray(y):
+    # x <= 1, x >= 2 and 0 <= 1: y = (1, 1, 0) is a ray, and (1, 1, -1)
+    # would pass every test but y >= 0
+    A, b = np.array([[1], [-1], [0]]), np.array([1, -2, 1])
+    assert lp._is_farkas_ray(A, b, [1, 1, 0])
+    assert not lp._is_farkas_ray(A, b, y)
 
 
 def test_overflow_falls_back_to_exact_path():

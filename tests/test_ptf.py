@@ -165,6 +165,12 @@ def test_same_weight_family_unit_weights():
     assert tables == [CONST1_2, OR2, AND2, CONST0_2]
 
 
+def test_family_above_the_cell_cap_raises():
+    # weight 2^(i-1) on x_i gives each of the 65,536 inputs its own level
+    with pytest.raises(PreconditionError, match="65537 members"):
+        same_weight_family({(i,): 1 << (i - 1) for i in range(1, 17)}, 16)
+
+
 def test_same_weight_family_zero_weights():
     fam = same_weight_family({}, 2)
     assert [t for _, t in fam.members] == [CONST1_2, CONST0_2]
