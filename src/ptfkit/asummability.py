@@ -52,10 +52,8 @@ class SummabilityCertificate:
     false_vectors: tuple[InputVector, ...]
 
     def sums(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        n = len(self.true_vectors[0])
-        t = tuple(sum(v[i] for v in self.true_vectors) for i in range(n))
-        f = tuple(sum(v[i] for v in self.false_vectors) for i in range(n))
-        return t, f
+        sides = (self.true_vectors, self.false_vectors)
+        return tuple(tuple(map(sum, zip(*side))) for side in sides)
 
     def verify(self, f: TruthTable) -> bool:
         """Re-check the certificate by addition and membership; a non-input of f fails."""
@@ -173,11 +171,3 @@ def check_asummability_theorem(f: TruthTable, m_max: int) -> ConsistencyReport:
     consistent = not (lp_threshold and cert is not None)
     inconclusive = not lp_threshold and cert is None
     return ConsistencyReport(lp_threshold, witness, cert, consistent, inconclusive, m_max)
-
-
-def certificate_to_json(cert: SummabilityCertificate) -> dict:
-    return {
-        "k": cert.k,
-        "true": [list(v) for v in cert.true_vectors],
-        "false": [list(v) for v in cert.false_vectors],
-    }

@@ -86,8 +86,8 @@ def const(n: int, value: int) -> TruthTable:
 
 
 def from_bits(bits) -> TruthTable:
-    """Build a table from any bit sequence of length 2^n."""
-    bits = tuple(int(b) for b in bits)
+    """Build a table from any bit sequence of length 2^n, checked as :class:`TruthTable` does."""
+    bits = tuple(bits)
     n = len(bits).bit_length() - 1
     if n < 1 or 1 << n != len(bits):
         raise ValueError(f"bit sequence length {len(bits)} is not 2^n for some n >= 1")

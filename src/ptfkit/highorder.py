@@ -160,7 +160,3 @@ def order_reduce(g: TruthTable, Y: InputVector) -> OrderReduction:
     if truth_table(f1_witness) != f1:
         raise AssertionError("closed-form single-minterm witness failed table check")
     return OrderReduction(g, tuple(Y), f2, f2_witness, f1, f1_witness)
-
-
-def hov_to_json(result: HighOrderVectorResult) -> dict:
-    return {"Y": list(result.Y), "r": result.order_before, "s": result.order_after}

@@ -31,7 +31,7 @@ from itertools import product
 import numpy as np
 
 from .core import InputVector, TruthTable, compose_by_variable, const, xor
-from .errors import DimensionMismatch, ParseError, PreconditionError
+from .errors import DimensionMismatch, PreconditionError
 from .ptf import (
     PTF,
     WeightMap,
@@ -41,12 +41,6 @@ from .ptf import (
     _subset_sums,
     _tabulate,
     evaluate,
-    format_fraction,
-    format_monomial,
-    format_ptf_text,
-    parse_fraction,
-    parse_monomial,
-    parse_ptf_text,
     share_weights,
     truth_table,
 )
@@ -99,7 +93,9 @@ MultithresholdRep = XorList | SharedWeight
 
 
 def eval_xor_list(members, X: InputVector) -> int:
-    """Parity of the member outputs at X."""
+    """Parity of the member outputs at X; at least one member, as in :class:`XorList`."""
+    if not members:
+        raise ValueError("XOR list must have at least one member")
     return sum(evaluate(p, X) for p in members) & 1
 
 
@@ -230,65 +226,3 @@ def extend_order(f_n: TruthTable, f1, f2) -> OrderExtensionResult:
     if to_truth_table(witness) != f_next:
         raise AssertionError("two-threshold witness failed table re-check")
     return OrderExtensionResult(f_next, g_next, f1_next, f2_next, witness)
-
-
-def shared_weight_to_json(rep: SharedWeight) -> dict:
-    return {
-        "n": rep.n,
-        "weights": {format_monomial(m): format_fraction(c) for m, c in rep.weights.items()},
-        "thresholds": [format_fraction(t) for t in rep.thresholds],
-    }
-
-
-def shared_weight_from_json(data) -> SharedWeight:
-    """Read the JSON form written by :func:`shared_weight_to_json`.
-
-    A dict without ``"n"`` gets the largest variable index of its weights.
-    """
-    if not (
-        isinstance(data, dict)
-        and isinstance(data.get("weights"), dict)
-        and isinstance(data.get("thresholds"), list)
-        and all(isinstance(v, str) for v in data["weights"].values())
-        and all(isinstance(t, str) for t in data["thresholds"])
-    ):
-        raise ParseError(
-            'shared-weight JSON needs a "weights" object and a "thresholds" list of rational strings'
-        )
-    weights = {parse_monomial(k): parse_fraction(v) for k, v in data["weights"].items()}
-    thresholds = tuple(parse_fraction(t) for t in data["thresholds"])
-    n = data["n"] if "n" in data else max((m[-1] for m in weights), default=1)
-    if type(n) is not int or n < 1:
-        raise ParseError(f'shared-weight JSON "n" must be a positive integer, got {n!r}')
-    try:
-        return SharedWeight(n, weights, thresholds)
-    except ValueError as exc:
-        raise ParseError(f"invalid shared-weight JSON: {exc}") from exc
-
-
-def xor_list_to_json(rep: XorList) -> dict:
-    """JSON form: ``{"n": n, "members": [...]}`` with each member's text form."""
-    return {"n": rep.n, "members": [format_ptf_text(p) for p in rep.members]}
-
-
-def xor_list_from_json(data) -> XorList:
-    """Read the JSON form written by :func:`xor_list_to_json`.
-
-    A bare list of member text forms is read too.  It records no ``n``, so
-    every member gets the largest variable index over all members, and a
-    list in which no member weights ``x_n`` reads back with a smaller ``n``.
-    """
-    n = None
-    if isinstance(data, dict):
-        n = data.get("n")
-        if type(n) is not int:
-            raise ParseError(f'XOR-list JSON "n" must be an integer, got {n!r}')
-        data = data.get("members")
-    if not isinstance(data, list) or not all(isinstance(member, str) for member in data):
-        raise ParseError("XOR-list JSON members must be a list of threshold text forms")
-    if n is None:
-        n = max((parse_ptf_text(member).n for member in data), default=1)
-    try:
-        return XorList(tuple(parse_ptf_text(member, n) for member in data))
-    except ValueError as exc:
-        raise ParseError(f"invalid XOR-list JSON: {exc}") from exc

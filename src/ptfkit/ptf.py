@@ -29,7 +29,7 @@ import numpy as np
 
 from . import lp
 from .core import MAX_VARS, InputVector, TruthTable, _check_same, _index
-from .errors import ParseError, PreconditionError
+from .errors import PreconditionError
 
 # LP systems have 2^n rows; keep realizability calls at desk scale.
 MAX_LP_VARS = 10
@@ -336,69 +336,3 @@ def share_weights(
     w = _witness(proof)
     weights = {(i + 1,): w[i] for i in range(n) if w[i]}
     return weights, w[n], w[n + 1]
-
-
-def format_fraction(value: Fraction) -> str:
-    """Render a rational as ``p`` or ``p/q``."""
-    value = Fraction(value)
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-
-
-def parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"invalid rational {text!r}") from exc
-
-
-def format_monomial(m: Monomial) -> str:
-    return "+".join(str(i) for i in m)
-
-
-def parse_monomial(text: str) -> Monomial:
-    try:
-        m = tuple(int(part) for part in text.strip().split("+"))
-    except ValueError as exc:
-        raise ParseError(f"invalid monomial {text!r}") from exc
-    if min(m) < 1:
-        raise ParseError(f"monomial {text.strip()!r} has a variable index below 1")
-    return m
-
-
-def format_ptf_text(p: PTF) -> str:
-    """Text form: one ``monomial: coefficient`` line per weight, then theta."""
-    lines = [f"{format_monomial(m)}: {format_fraction(c)}" for m, c in p.coeffs.items()]
-    lines.append(f"theta: {format_fraction(p.theta)}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_weight_lines(text: str) -> tuple[dict[Monomial, Fraction], Fraction | None]:
-    """Parse ``monomial: coefficient`` lines; a ``theta:`` line is optional."""
-    weights: dict[Monomial, Fraction] = {}
-    theta: Fraction | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ":" not in line:
-            raise ParseError(f"line {lineno}: expected 'monomial: coefficient', got {line!r}")
-        lhs, rhs = line.split(":", 1)
-        if lhs.strip() == "theta":
-            theta = parse_fraction(rhs)
-        else:
-            m = parse_monomial(lhs)
-            weights[m] = parse_fraction(rhs)
-    return weights, theta
-
-
-def parse_ptf_text(text: str, n: int | None = None) -> PTF:
-    """Parse the text form of a PTF; n defaults to the largest index used."""
-    weights, theta = parse_weight_lines(text)
-    if theta is None:
-        raise ParseError("missing 'theta:' line")
-    if n is None:
-        n = max((m[-1] for m in weights), default=1)
-    try:
-        return PTF(n, weights, theta)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc

@@ -20,7 +20,7 @@ from ptfkit import (
     is_threshold,
 )
 from ptfkit import asummability
-from ptfkit.asummability import certificate_to_json
+from ptfkit.cli import certificate_to_json
 from conftest import AND2, OR2, XOR2, all_tables
 from oracles import naive_certificate_exists
 
@@ -53,6 +53,11 @@ def test_xor2_classic_certificate():
 def test_bad_certificates_fail_verification(k, true_vectors, false_vectors):
     assert SummabilityCertificate(2, ((1, 0), (0, 1)), ((0, 0), (1, 1))).verify(XOR2)
     assert not SummabilityCertificate(k, true_vectors, false_vectors).verify(XOR2)
+
+
+def test_sums_of_an_empty_certificate_are_empty():
+    assert SummabilityCertificate(0, (), ()).sums() == ((), ())
+    assert not SummabilityCertificate(0, (), ()).verify(XOR2)
 
 
 def test_threshold_functions_have_no_certificate():

@@ -6,14 +6,13 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ptfkit import PTF, XorList, all_vectors, evaluate, lp, parse_table
-from ptfkit.cli import run
-from ptfkit.multithreshold import xor_list_to_json
-from ptfkit.ptf import parse_ptf_text
+from ptfkit import PTF, ParseError, XorList, all_vectors, evaluate, lp, parse_table
+from ptfkit.cli import parse_fraction, parse_ptf_text, run, xor_list_to_json
 from ptfkit.ptf import evaluate as eval_ptf
 
 TESTS_DIR = Path(__file__).parent
@@ -206,6 +205,71 @@ def test_zero_denominator_exits_1(command, tmp_path, capsys):
     path.write_text("1: 1/0\n")
     assert run([arg.format(file=path) for arg in command]) == 1
     assert "invalid rational" in capsys.readouterr().err
+
+
+# Each command reads one file: the rational as theta of a threshold text,
+# or as a coefficient of a weight map.
+RATIONAL_COMMANDS = {
+    "eval": (["eval", "{file}", "--at", "1"], "1: 1\ntheta: {text}\n"),
+    "extend": (["extend", "0110", "{file}", "{file}"], "1: 1\ntheta: {text}\n"),
+    "family": (["family", "{file}"], "1: {text}\n"),
+}
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0.5", "1e3", "1E-2", "1_0", "\u0661", "1/2/3", "+-1", "inf", "1/", "/2"],
+    ids=["decimal", "exponent", "negative-exponent", "underscore", "non-ascii-digit",
+         "two-slashes", "two-signs", "inf", "no-denominator", "no-numerator"],
+)
+@pytest.mark.parametrize("command", sorted(RATIONAL_COMMANDS))
+def test_rationals_outside_p_or_p_over_q_exit_1(command, text, tmp_path, capsys):
+    argv, content = RATIONAL_COMMANDS[command]
+    path = tmp_path / "r.txt"
+    path.write_text(content.format(text=text), encoding="utf-8")
+    assert run([arg.format(file=path) for arg in argv]) == 1
+    assert "invalid rational" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(RATIONAL_COMMANDS))
+def test_huge_exponent_exits_1_at_once(command, tmp_path, subprocess_env):
+    # Fraction("1e100000000") would build a 10^(10^8) integer
+    argv, content = RATIONAL_COMMANDS[command]
+    path = tmp_path / "r.txt"
+    path.write_text(content.format(text="1e100000000"), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ptfkit.cli", *(arg.format(file=path) for arg in argv)],
+        capture_output=True,
+        text=True,
+        cwd=TESTS_DIR,
+        env=subprocess_env(),
+        timeout=10,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "invalid rational" in proc.stderr
+
+
+def test_over_long_integer_exits_1(tmp_path, capsys):
+    # past the int-string digit limit, int() raises ValueError
+    path = tmp_path / "r.txt"
+    path.write_text("1: 1\ntheta: " + "9" * 5000 + "\n")
+    assert run(["eval", str(path), "--at", "1"]) == 1
+    assert "invalid rational" in capsys.readouterr().err
+
+
+def test_parse_fraction_reads_p_and_p_over_q_only():
+    assert parse_fraction(" -3/6 ") == Fraction(-1, 2)
+    assert parse_fraction("+7") == 7
+    for bad in ("0.5", "", 5, None):
+        with pytest.raises(ParseError):
+            parse_fraction(bad)
+
+
+def test_eval_deeply_nested_json_exits_1(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert run(["eval", str(path), "--at", "1"]) == 1
+    assert "invalid JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["hov"], ["reduce", "--at", "1111111"]], ids=["hov", "reduce"])

@@ -215,3 +215,33 @@ def test_from_bits_rejects_an_empty_or_single_bit_sequence():
     for bits in ([], [1]):
         with pytest.raises(ValueError, match="not 2\\^n for some n >= 1"):
             from_bits(bits)
+
+
+@pytest.mark.parametrize(
+    "bits", [[0.5, 1.7], [0, 1, 1, 0.5], ["0", "1"]], ids=["floats", "one-float", "strings"]
+)
+def test_from_bits_rejects_entries_other_than_0_or_1(bits):
+    # no truncation: a float or a string never becomes a table bit
+    with pytest.raises(ValueError, match="entries must be 0 or 1"):
+        from_bits(bits)
+
+
+def test_str_of_a_table_is_its_binary_form():
+    assert str(XOR2) == "0110"
+    assert str(parse_table("0x8")) == "1000"
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: const(2, 2), "constant value must be 0 or 1"),
+        (lambda: cofactor(const(1, 1), 1, 0), "1-variable"),
+        (lambda: cofactor(AND2, 1, 2), "fixed value must be 0 or 1"),
+        (lambda: format_table(const(1, 0), "hex"), "hex form requires n >= 2"),
+        (lambda: format_table(AND2, "oct"), "unknown style"),
+    ],
+    ids=["const-value", "cofactor-n1", "cofactor-b2", "hex-n1", "unknown-style"],
+)
+def test_table_operations_reject_arguments_out_of_range(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

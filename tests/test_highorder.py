@@ -26,7 +26,8 @@ from ptfkit import (
     xor,
 )
 from ptfkit import _simplex, highorder, lp
-from ptfkit.highorder import OrderReduction, high_order_search, hov_to_json
+from ptfkit.cli import hov_to_json
+from ptfkit.highorder import OrderReduction, high_order_search
 from ptfkit.ptf import PTF, _flipped_lp
 from conftest import AND2, NAND2, OR2, XOR2, all_tables, parity_table
 from oracles import order_reduce_reference

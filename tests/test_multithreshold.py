@@ -30,7 +30,7 @@ from ptfkit import (
     vector_at,
     xor,
 )
-from ptfkit.multithreshold import (
+from ptfkit.cli import (
     shared_weight_from_json,
     shared_weight_to_json,
     xor_list_from_json,
@@ -48,6 +48,11 @@ def test_eval_xor_list_examples():
     assert eval_xor_list([OR2_PTF, AND2_PTF], (1, 0)) == 1
     assert eval_xor_list([OR2_PTF], (1, 0)) == 1
     assert eval_xor_list([AND2_PTF, AND2_PTF], (1, 1)) == 0
+
+
+def test_eval_xor_list_needs_a_member():
+    with pytest.raises(ValueError, match="at least one member"):
+        eval_xor_list([], (2, 5))
 
 
 def test_xor_list_validation():
@@ -240,6 +245,13 @@ def test_extend_order_precondition_failures():
         extend_order(AND2, OR2_PTF, AND2_PTF)
     with pytest.raises(PreconditionError, match="shared-weight"):
         extend_order(xor(parse_table("0101"), parse_table("0011")), parse_table("0101"), parse_table("0011"))
+
+
+def test_extend_order_rejects_components_of_the_wrong_arity():
+    with pytest.raises(DimensionMismatch):
+        extend_order(XOR2, PTF(3, {(1,): 1, (2,): 1}, 1), PTF(3, {(1,): 1, (2,): 1}, 2))
+    with pytest.raises(DimensionMismatch):
+        extend_order(XOR2, OR2_PTF, PTF(1, {(1,): 1}, 1))
 
 
 def test_extend_order_randomized_same_weight_pairs():

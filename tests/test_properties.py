@@ -23,13 +23,15 @@ from ptfkit import (
     truth_table,
     xor,
 )
-from ptfkit.multithreshold import (
+from ptfkit.cli import (
+    format_ptf_text,
+    parse_ptf_text,
     shared_weight_from_json,
     shared_weight_to_json,
     xor_list_from_json,
     xor_list_to_json,
 )
-from ptfkit.ptf import format_ptf_text, monomials_up_to, parse_ptf_text
+from ptfkit.ptf import monomials_up_to
 from oracles import farkas_phase1_reference, full_tableau_solve
 
 DERANDOMIZED = settings(derandomize=True, database=None, max_examples=300, deadline=None)

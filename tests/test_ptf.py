@@ -29,14 +29,13 @@ from ptfkit import (
     xor,
 )
 from ptfkit import lp
+from ptfkit.cli import format_ptf_text, parse_ptf_text
 from ptfkit.ptf import (
     MAX_LP_VARS,
     _flipped_lp,
     _monomial_matrix,
     _realization_lp,
     evaluate,
-    format_ptf_text,
-    parse_ptf_text,
     weighted_sum,
 )
 from conftest import (
