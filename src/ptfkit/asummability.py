@@ -118,14 +118,11 @@ def find_certificate(f: TruthTable, m: int) -> SummabilityCertificate | None:
     F = np.array([vector_at(i, f.n) for i in false_idx], dtype=np.int64)
     for k in range(2, m + 1):
         f_combos, f_keys = _multiset_sums(F, k, base=k + 1)
-        uniq, first = np.unique(f_keys, return_index=True)
         t_combos, t_keys = _multiset_sums(T, k, base=k + 1)
-        pos = np.searchsorted(uniq, t_keys)
-        pos[pos == uniq.size] = 0
-        hits = uniq[pos] == t_keys
+        hits = np.isin(t_keys, f_keys)
         if hits.any():
             t_at = int(np.argmax(hits))
-            f_at = int(first[pos[t_at]])
+            f_at = int(np.argmax(f_keys == t_keys[t_at]))
             cert = SummabilityCertificate(
                 k,
                 tuple(vector_at(true_idx[j], f.n) for j in t_combos[t_at]),

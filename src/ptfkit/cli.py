@@ -28,8 +28,10 @@ from . import asummability, highorder, multithreshold, ptf
 from .core import format_table, parse_table
 from .errors import ParseError, PreconditionError
 
-# Fraction alone also takes exponents, and "1e100000000" builds a 10^10^8 int.
+# Fraction alone also takes exponents, and "1e100000000" builds a 10^10^8 int;
+# int alone also takes underscores and non-ASCII digits.
 _RATIONAL = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
+_MONOMIAL = re.compile(r"[0-9]+(?:\s*\+\s*[0-9]+)*")
 
 
 @contextmanager
@@ -47,8 +49,11 @@ def _largest_index(*weight_maps) -> int:
 
 
 def format_fraction(value: Fraction) -> str:
-    """Render a rational as ``p`` or ``p/q``."""
-    return str(Fraction(value))
+    """Render a rational as ``p`` or ``p/q``; past the int-string digit limit, PreconditionError."""
+    try:
+        return str(Fraction(value))
+    except ValueError as exc:
+        raise PreconditionError(f"cannot write a rational out as text: {exc}") from exc
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -64,7 +69,10 @@ def format_monomial(m: ptf.Monomial) -> str:
 
 
 def parse_monomial(text: str) -> ptf.Monomial:
+    """Read ASCII-digit variable indices joined by ``+``."""
     text = text.strip()
+    if not _MONOMIAL.fullmatch(text):
+        raise ParseError(f"invalid monomial {text!r}: expected indices joined by '+'")
     with _invalid(f"monomial {text!r}"):
         m = tuple(int(part) for part in text.split("+"))
     if min(m) < 1:
@@ -203,10 +211,9 @@ def _read_text(path: str) -> str:
 
 
 def cmd_analyze(args) -> dict:
-    f = parse_table(args.table)
-    d, witness = ptf.minimal_realization(f)
+    d, witness = ptf.minimal_realization(args.table)
     return {
-        "n": f.n,
+        "n": args.table.n,
         "order": d,
         "is_threshold": d <= 1,
         "witness": _ptf_json(witness),
@@ -214,19 +221,17 @@ def cmd_analyze(args) -> dict:
 
 
 def cmd_hov(args) -> dict:
-    g = parse_table(args.table)
-    r, results = highorder.high_order_search(g)
+    r, results = highorder.high_order_search(args.table)
     return {
-        "n": g.n,
+        "n": args.table.n,
         "order": r,
         "high_order_vectors": [hov_to_json(hit) for hit in results],
     }
 
 
 def cmd_reduce(args) -> dict:
-    g = parse_table(args.table)
-    Y = _parse_vector(args.at, g.n)
-    red = highorder.order_reduce(g, Y)
+    Y = _parse_vector(args.at, args.table.n)
+    red = highorder.order_reduce(args.table, Y)
     return {
         "Y": list(red.Y),
         "f2": format_table(red.f2),
@@ -237,10 +242,9 @@ def cmd_reduce(args) -> dict:
 
 
 def cmd_extend(args) -> dict:
-    f_n = parse_table(args.table)
-    p1 = parse_ptf_text(_read_text(args.f1), n=f_n.n)
-    p2 = parse_ptf_text(_read_text(args.f2), n=f_n.n)
-    ext = multithreshold.extend_order(f_n, p1, p2)
+    p1 = parse_ptf_text(_read_text(args.f1), n=args.table.n)
+    p2 = parse_ptf_text(_read_text(args.f2), n=args.table.n)
+    ext = multithreshold.extend_order(args.table, p1, p2)
     return {
         "f_next": format_table(ext.f_next),
         "g_next": format_table(ext.g_next),
@@ -251,10 +255,9 @@ def cmd_extend(args) -> dict:
 
 
 def cmd_asummable(args) -> dict:
-    f = parse_table(args.table)
-    cert = asummability.find_certificate(f, args.m)
+    cert = asummability.find_certificate(args.table, args.m)
     return {
-        "n": f.n,
+        "n": args.table.n,
         "m": args.m,
         "asummable_up_to_m": cert is None,
         "certificate": None if cert is None else certificate_to_json(cert),
@@ -281,10 +284,9 @@ def cmd_family(args) -> dict:
 
 
 def cmd_synth_mtf(args) -> dict:
-    f = parse_table(args.table)
-    rep = multithreshold.synthesize_shared_weight(f, args.k_max, args.weight_bound)
+    rep = multithreshold.synthesize_shared_weight(args.table, args.k_max, args.weight_bound)
     return {
-        "n": f.n,
+        "n": args.table.n,
         "k_max": args.k_max,
         "weight_bound": args.weight_bound,
         "found": rep is not None,
@@ -294,33 +296,27 @@ def cmd_synth_mtf(args) -> dict:
 
 def cmd_eval(args) -> dict:
     text = _read_text(args.file)
-    if text.lstrip().startswith(("{", "[")):
+    if not text.lstrip().startswith(("{", "[")):
+        kind, rep, evaluate = "ptf", parse_ptf_text(text), ptf.evaluate
+    else:
         try:
             data = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise ParseError(f"invalid JSON in {args.file}: {exc}") from exc
         if isinstance(data, list) or (isinstance(data, dict) and "members" in data):
-            rep = xor_list_from_json(data)
-            X = _parse_vector(args.at, rep.n)
-            value = multithreshold.eval_xor_list(rep.members, X)
-            kind = "xor_list"
+            kind, rep = "xor_list", xor_list_from_json(data)
+            evaluate = lambda r, X: multithreshold.eval_xor_list(r.members, X)
         else:
-            rep = shared_weight_from_json(data)
-            X = _parse_vector(args.at, rep.n)
-            value = multithreshold.eval_shared_weight(rep, X)
-            kind = "shared_weight"
-    else:
-        p = parse_ptf_text(text)
-        X = _parse_vector(args.at, p.n)
-        value = ptf.evaluate(p, X)
-        kind = "ptf"
-    return {"kind": kind, "at": list(X), "value": value}
+            kind, rep = "shared_weight", shared_weight_from_json(data)
+            evaluate = multithreshold.eval_shared_weight
+    X = _parse_vector(args.at, rep.n)
+    return {"kind": kind, "at": list(X), "value": evaluate(rep, X)}
 
 
 def _echo(args) -> dict:
     echo = {}
     if getattr(args, "table", None) is not None:
-        echo["table"] = format_table(parse_table(args.table))
+        echo["table"] = format_table(args.table)
     for name in ("at", "m", "k_max", "weight_bound", "f1", "f2", "weights", "file", "n"):
         value = getattr(args, name, None)
         if value is not None:
@@ -359,22 +355,22 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add_command("analyze", "minimal order and realization of a truth table", cmd_analyze)
-    p.add_argument("table")
+    p.add_argument("table", type=parse_table)
 
     p = add_command("hov", "flip points that change the minimal order", cmd_hov)
-    p.add_argument("table")
+    p.add_argument("table", type=parse_table)
 
     p = add_command("reduce", "split at a flip point into threshold parts", cmd_reduce)
-    p.add_argument("table")
+    p.add_argument("table", type=parse_table)
     p.add_argument("--at", required=True, help="flip point, x_1 first")
 
     p = add_command("extend", "lift an XOR of two same-weight thresholds by one variable", cmd_extend)
-    p.add_argument("table")
+    p.add_argument("table", type=parse_table)
     p.add_argument("f1", help="first threshold realization file")
     p.add_argument("f2", help="second threshold realization file")
 
     p = add_command("asummable", "search for an equal-sum certificate", cmd_asummable)
-    p.add_argument("table")
+    p.add_argument("table", type=parse_table)
     p.add_argument("--m", type=int, default=2, help="largest multiset size to try")
 
     p = add_command("family", "threshold sweep of a weight map", cmd_family)
@@ -382,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="variable count (default: largest index)")
 
     p = add_command("synth-mtf", "shared-weight multithreshold synthesis", cmd_synth_mtf)
-    p.add_argument("table")
+    p.add_argument("table", type=parse_table)
     p.add_argument("--k-max", type=int, required=True, dest="k_max")
     p.add_argument("--weight-bound", type=int, default=1, dest="weight_bound")
 
@@ -395,9 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str]) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        # a table argument is read here, so its ParseError exits 1 like any other
+        args = parser.parse_args(argv)
         result = args.func(args)
         report = {
             "command": args.command,

@@ -137,12 +137,11 @@ def cofactor(f: TruthTable, i: int, b: int) -> TruthTable:
         raise ValueError("cannot take a cofactor of a 1-variable function")
     if b not in (0, 1):
         raise ValueError("fixed value must be 0 or 1")
-    pos = i - 1
-    low_mask = (1 << pos) - 1
+    # the entries with x_i = b: blocks of 2^(i-1), one every 2^i from b * 2^(i-1)
+    block = 1 << (i - 1)
     bits = []
-    for j in range(1 << (f.n - 1)):
-        full = (j & low_mask) | (b << pos) | ((j >> pos) << (pos + 1))
-        bits.append(f.bits[full])
+    for start in range(b * block, f.size, 2 * block):
+        bits.extend(f.bits[start : start + block])
     return TruthTable(f.n - 1, tuple(bits))
 
 

@@ -9,9 +9,9 @@ one.  A plain threshold function is exactly the k=1 case, and both are
 evaluated and tabulated by the same helpers of :mod:`ptfkit.ptf`.
 
 Synthesis tabulates every weight vector of a small integer box at once,
-by one subset-sum transform: a vector works iff the function is constant
-on every level set of its weighted sum, and the minimal thresholds are
-then read off the output switches along the sorted levels.
+by one product with the points of B^n: a vector works iff the function
+is constant on every level set of its weighted sum, and the minimal
+thresholds are then read off the output switches along the sorted levels.
 
 Order extension lifts an n-variable function f, given as the XOR of two
 same-weight threshold realizations, to the (n+1)-variable function that
@@ -35,10 +35,10 @@ from .errors import DimensionMismatch, PreconditionError
 from .ptf import (
     PTF,
     WeightMap,
+    _monomial_matrix,
     _normalize_weights,
     _parity_met,
-    _scaled_sums,
-    _subset_sums,
+    _rational,
     _tabulate,
     evaluate,
     share_weights,
@@ -80,9 +80,7 @@ class SharedWeight:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", _normalize_weights(self.weights, self.n))
-        object.__setattr__(
-            self, "thresholds", tuple(sorted(Fraction(t) for t in self.thresholds))
-        )
+        object.__setattr__(self, "thresholds", tuple(sorted(map(_rational, self.thresholds))))
 
     @property
     def k(self) -> int:
@@ -127,7 +125,9 @@ def synthesize_shared_weight(
     A weight vector qualifies iff f is constant on each level set of its
     weighted sum; its threshold count is the number of output switches
     along the ascending levels.  Among qualifying vectors with k <= k_max
-    the result minimizes k, breaking ties by the smallest-magnitude-first
+    the result has the fewest thresholds within the box, which need not be
+    the fewest for f (``0110000001111011`` gets 4 at B = 4 and 5, but 3 by
+    weights (19, 6, -23, 30)), breaking ties by the smallest-magnitude-first
     candidate order, so the output is deterministic and all-positive
     weights win over their negated mirrors.
     """
@@ -139,12 +139,10 @@ def synthesize_shared_weight(
         )
     if k_max < 0:
         raise PreconditionError(f"threshold budget must be >= 0, got {k_max}")
-    # one row of weighted sums per candidate: |G| <= MAX_SYNTH_BOUND *
-    # MAX_SYNTH_VARS, so int64 is exact
+    # one row of weighted sums per candidate, over the points of B^n:
+    # |G| <= MAX_SYNTH_BOUND * MAX_SYNTH_VARS, so int64 is exact
     candidates = np.array(list(product(_weight_search_order(weight_bound), repeat=f.n)))
-    G = np.zeros((len(candidates), f.size), dtype=np.int64)
-    G[:, 1 << np.arange(f.n)] = candidates
-    _subset_sums(G)
+    G = candidates @ _monomial_matrix(f.n, 1)[1].T
     by_level = np.argsort(G, axis=1, kind="stable")
     levels = np.take_along_axis(G, by_level, axis=1)
     outputs = np.array(f.bits, dtype=np.int8)[by_level]
@@ -156,9 +154,8 @@ def synthesize_shared_weight(
     best = int(np.argmin(k))
     if mixed[best] or k[best] > k_max:
         return None
-    weights = {(i + 1,): Fraction(int(v)) for i, v in enumerate(candidates[best]) if v}
-    thresholds = tuple(Fraction(int(t)) for t in levels[best, switches[best]])
-    rep = SharedWeight(f.n, weights, thresholds)
+    weights = {(i + 1,): v for i, v in enumerate(candidates[best]) if v}
+    rep = SharedWeight(f.n, weights, tuple(levels[best, switches[best]]))
     if to_truth_table(rep) != f:
         raise AssertionError("synthesized representation failed table re-check")
     return rep
@@ -217,9 +214,8 @@ def extend_order(f_n: TruthTable, f1, f2) -> OrderExtensionResult:
     if f_next != compose_by_variable(const(n, 0), f_n):
         raise AssertionError("extension must be 0 at x_{n+1}=0 and f at x_{n+1}=1")
 
-    sums, scale = _scaled_sums(weights, n)
-    g_max = Fraction(max(sums), scale)
-    lift = g_max - min(theta1, theta2) + 1
+    # the weights are linear, so the largest weighted sum is that of the positive ones
+    lift = sum(c for c in weights.values() if c > 0) - min(theta1, theta2) + 1
     witness_weights = dict(weights)
     witness_weights[(n + 1,)] = lift
     witness = SharedWeight(n + 1, witness_weights, (theta1 + lift, theta2 + lift))

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths under test: threshold
 functions are enumerated by trying every small integer weight/threshold
-combination, certificates by direct multiset enumeration, LP systems by
+combination, certificates by direct multiset enumeration (and the first
+one by a dict of multiset sums), LP systems by
 scanning integer grid points or by a plain full-tableau simplex, the
 shared-weight LP by a row-by-row encoder, monomial values by mask tests,
 multithreshold synthesis by a recursive per-candidate scan, and order
@@ -52,6 +53,29 @@ def naive_certificate_exists(bits, n: int, m: int) -> bool:
             if tuple(sum(v[i] for v in combo) for i in range(n)) in t_sums:
                 return True
     return False
+
+
+def first_certificate_reference(bits, n: int, m: int):
+    """Smallest-k certificate, the lexicographically first pair at that k, by dict lookup.
+
+    True and false points run in table-index order, and size-k multisets of
+    each in lexicographic order of their index tuples.  A dict keeps the
+    first false multiset for each sum; the first true multiset whose sum is
+    in it wins.  Returns ``(k, true_vectors, false_vectors)`` or None.
+    """
+    trues = [tuple((i >> j) & 1 for j in range(n)) for i, b in enumerate(bits) if b]
+    falses = [tuple((i >> j) & 1 for j in range(n)) for i, b in enumerate(bits) if not b]
+    if not trues or not falses:
+        return None
+    for k in range(2, m + 1):
+        first_false = {}
+        for combo in combinations_with_replacement(falses, k):
+            first_false.setdefault(tuple(map(sum, zip(*combo))), combo)
+        for combo in combinations_with_replacement(trues, k):
+            hit = first_false.get(tuple(map(sum, zip(*combo))))
+            if hit is not None:
+                return k, combo, hit
+    return None
 
 
 def find_integer_point(A, b, bound: int):

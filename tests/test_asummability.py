@@ -22,7 +22,7 @@ from ptfkit import (
 from ptfkit import asummability
 from ptfkit.cli import certificate_to_json
 from conftest import AND2, OR2, XOR2, all_tables
-from oracles import naive_certificate_exists
+from oracles import first_certificate_reference, naive_certificate_exists
 
 
 def test_xor2_classic_certificate():
@@ -158,6 +158,23 @@ def test_certificates_verify_and_match_naive_search():
         assert (cert is not None) == naive_certificate_exists(f.bits, n, 3)
         if cert is not None:
             assert cert.verify(f)
+
+
+def _sampled_n4_tables(count: int):
+    rng = random.Random(1901)
+    return [TruthTable(4, tuple(rng.randint(0, 1) for _ in range(16))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4], ids=["n1", "n2", "n3", "n4-sampled"])
+def test_certificate_is_the_smallest_k_and_lexicographically_first_pair(n):
+    tables = list(all_tables(n)) if n <= 3 else _sampled_n4_tables(100)
+    for f in tables:
+        ref = first_certificate_reference(f.bits, f.n, 4)
+        for m in (2, 3, 4):
+            cert = find_certificate(f, m)
+            want = ref if ref is not None and ref[0] <= m else None
+            got = None if cert is None else (cert.k, cert.true_vectors, cert.false_vectors)
+            assert got == want, (f.bits, m)
 
 
 def test_search_is_deterministic():

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from ptfkit import PTF, ParseError, XorList, all_vectors, evaluate, lp, parse_table
-from ptfkit.cli import parse_fraction, parse_ptf_text, run, xor_list_to_json
+from ptfkit import cli
+from ptfkit.cli import parse_fraction, parse_monomial, parse_ptf_text, run, xor_list_to_json
 from ptfkit.ptf import evaluate as eval_ptf
 
 TESTS_DIR = Path(__file__).parent
@@ -263,6 +264,93 @@ def test_parse_fraction_reads_p_and_p_over_q_only():
     for bad in ("0.5", "", 5, None):
         with pytest.raises(ParseError):
             parse_fraction(bad)
+
+
+# Each form of a monomial index int() reads but the grammar does not, with
+# the variable count int() would give it.
+NON_ASCII_INDICES = {"non-ascii-digit": ("\u0661", 1), "underscore": ("1_0", 10)}
+
+
+@pytest.mark.parametrize("form", ["ptf-text", "shared-weight-json"])
+@pytest.mark.parametrize("index", sorted(NON_ASCII_INDICES))
+def test_monomial_indices_outside_ascii_digits_exit_1(index, form, tmp_path, capsys):
+    text, n = NON_ASCII_INDICES[index]
+    path = tmp_path / "r.txt"
+    if form == "ptf-text":
+        path.write_text(f"{text}: 1\ntheta: 1\n", encoding="utf-8")
+    else:
+        path.write_text(json.dumps({"weights": {text: "1"}, "thresholds": ["1"]}), encoding="utf-8")
+    assert run(["eval", str(path), "--at", "1" * n]) == 1
+    assert "invalid monomial" in capsys.readouterr().err
+
+
+def test_parse_monomial_reads_ascii_indices_joined_by_plus():
+    assert parse_monomial(" 1 + 3 ") == (1, 3)
+    assert parse_monomial("12") == (12,)
+    for bad in ("", "+1", "1+", "1++2", "1 2", "-1", "1_0", "\u0661", "1.0"):
+        with pytest.raises(ParseError):
+            parse_monomial(bad)
+
+
+# Two weights 1/d1 and 1/d2 whose level 1/d1 + 1/d2 has a denominator of
+# 7,801 digits, past the int-string digit limit of the report's text.
+HUGE_D1, HUGE_D2 = 10**3900 + 1, 10**3900 + 3
+
+
+def test_family_past_the_digit_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "w.weights"
+    path.write_text(f"1: 1/{HUGE_D1}\n2: 1/{HUGE_D2}\n")
+    assert run(["family", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "precondition violated" in err
+
+
+def test_extend_past_the_digit_limit_exits_2(tmp_path, capsys):
+    paths = []
+    for name, d in (("a.ptf", HUGE_D1), ("b.ptf", HUGE_D2)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(f"1: 1/{HUGE_D1}\n2: 1/{HUGE_D2}\ntheta: 1/{d}\n")
+    assert run(["extend", "0010", *map(str, paths)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "precondition violated" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "0110"],
+        ["hov", "0110"],
+        ["reduce", "0110", "--at", "11"],
+        ["extend", "0110", "fixtures/or2.ptf", "fixtures/and2.ptf"],
+        ["asummable", "0110"],
+        ["synth-mtf", "0110", "--k-max", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_each_table_argument_is_parsed_once(argv, capsys, monkeypatch):
+    monkeypatch.chdir(TESTS_DIR)
+    calls = []
+
+    def counting_parse_table(text):
+        calls.append(text)
+        return parse_table(text)
+
+    monkeypatch.setattr(cli, "parse_table", counting_parse_table)
+    assert run(argv) == 0
+    assert calls == ["0110"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["synth-mtf", "0110"], ["reduce", "0110"], ["analyze", "0110", "--bogus"], ["analyze"]],
+    ids=["missing-option", "missing-at", "unknown-option", "missing-table"],
+)
+def test_usage_errors_still_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_eval_deeply_nested_json_exits_1(tmp_path, capsys):

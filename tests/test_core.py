@@ -136,6 +136,26 @@ def test_cofactor_examples():
         cofactor(AND2, 3, 0)
 
 
+def _cofactor_tables():
+    rng = random.Random(1902)
+    yield from all_tables(2)
+    yield from all_tables(3)
+    for n in (4, 5):
+        for _ in range(40):
+            yield TruthTable(n, tuple(rng.randint(0, 1) for _ in range(1 << n)))
+
+
+def test_cofactor_matches_the_pointwise_definition():
+    # cofactor(f, i, b) at X is f at X with b put in as x_i
+    for f in _cofactor_tables():
+        for i in range(1, f.n + 1):
+            for b in (0, 1):
+                g = cofactor(f, i, b)
+                assert g.n == f.n - 1
+                for X in all_vectors(f.n - 1):
+                    assert evaluate(g, X) == evaluate(f, X[: i - 1] + (b,) + X[i - 1 :])
+
+
 def test_compose_by_variable_examples():
     assert compose_by_variable(XOR2, XOR2).bits == XOR2.bits + XOR2.bits
     assert compose_by_variable(CONST0_2, XOR2) == parse_table("00000110")

@@ -1,9 +1,10 @@
-"""Which modules own the realization text and JSON forms.
+"""Which modules own the realization text and JSON forms, and the B^n transform.
 
 ``cli`` is the one reader and writer of the PTF text, weight-line,
 shared-weight JSON and XOR-list JSON forms; ``core`` keeps the table text
 form behind ``TruthTable.__str__``.  The math modules raise ValueError on
-bad values and never build a ParseError.
+bad values and never build a ParseError.  ``ptf`` alone runs the
+subset-sum transform over B^n.
 """
 
 from __future__ import annotations
@@ -62,3 +63,9 @@ def test_only_cli_defines_form_readers_and_writers():
         "shared_weight_to_json", "shared_weight_from_json",
         "xor_list_to_json", "xor_list_from_json", "hov_to_json", "certificate_to_json",
     } <= {fn for module, fn in defined if module == "cli"}
+
+
+def test_only_ptf_runs_the_subset_sum_transform():
+    transform = {"_subset_sums", "_scaled_sums"}
+    mentions = {name for name, tree in _trees().items() if transform & _identifiers(tree)}
+    assert mentions == {"ptf"}

@@ -269,6 +269,22 @@ def test_extend_order_randomized_same_weight_pairs():
         assert ext.witness.k == 2
 
 
+@pytest.mark.parametrize(
+    "weights, thresholds",
+    [({(1,): 0.25}, (1,)), ({(1,): 1}, (0.5,)), ({(1,): "1"}, (1,)), ({(1,): 1}, ("1e3",))],
+    ids=["float-weight", "float-threshold", "string-weight", "exponent-string-threshold"],
+)
+def test_shared_weight_takes_exact_rationals_only(weights, thresholds):
+    with pytest.raises(ValueError, match="exact rationals"):
+        SharedWeight(1, weights, thresholds)
+
+
+@pytest.mark.parametrize("n, thresholds", [(0, (1,)), (-3, ())], ids=["zero-n", "negative-n"])
+def test_shared_weight_needs_a_variable(n, thresholds):
+    with pytest.raises(ValueError, match="at least one variable"):
+        SharedWeight(n, {}, thresholds)
+
+
 def test_shared_weight_json_round_trip():
     rep = SharedWeight(3, {(1,): 1, (2,): -2, (3,): Fraction(1, 2)}, (Fraction(1, 2), 2))
     data = shared_weight_to_json(rep)

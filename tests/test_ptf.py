@@ -91,6 +91,28 @@ def test_monomial_validation():
         PTF(2, {(): 1}, 0)
 
 
+@pytest.mark.parametrize(
+    "weight, theta",
+    [(0.1, 0), (1, 0.5), ("1/2", 0), (1, "1e3")],
+    ids=["float-weight", "float-theta", "string-weight", "exponent-string-theta"],
+)
+def test_ptf_takes_exact_rationals_only(weight, theta):
+    with pytest.raises(ValueError, match="exact rationals"):
+        PTF(1, {(1,): weight}, theta)
+
+
+def test_ptf_reads_numpy_ints_and_bools_as_int_fractions():
+    p = PTF(2, {(1,): np.int64(3), (2,): True}, np.uint8(2))
+    assert p.coeffs == {(1,): 3, (2,): 1} and p.theta == 2
+    values = [*p.coeffs.values(), p.theta]
+    assert all(type(v) is Fraction and type(v.numerator) is int for v in values)
+
+
+def test_ptf_needs_a_variable():
+    with pytest.raises(ValueError, match="at least one variable"):
+        PTF(0, {}, 0)
+
+
 def test_realize_at_degree_examples():
     assert realize_at_degree(AND2, 1) is not None
     assert realize_at_degree(XOR2, 1) is None
