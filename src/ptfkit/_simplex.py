@@ -76,7 +76,6 @@ import numpy as np
 FEASIBLE = 0
 INFEASIBLE = 1
 OVERFLOW = 2
-UNBOUNDED = 3
 
 # Entries above this make the next pivot's intermediates unsafe for int64.
 _INT64_GUARD = 1 << 30
@@ -149,7 +148,7 @@ def _pivot_loop_numpy(T, basis, dantzig: bool, delta=1):
     by Bland's rule.  Only an int64 tableau is guarded.  Returns
     ``(status, delta)`` with status INFEASIBLE when the artificials' sum
     reached 0 (the basic ``y`` form a ray), FEASIBLE when no ``y`` column
-    prices out, OVERFLOW or UNBOUNDED.
+    prices out, or OVERFLOW.
     """
     r = T.shape[0] - 1
     last = T.shape[1] - 1
@@ -177,7 +176,8 @@ def _pivot_loop_numpy(T, basis, dantzig: bool, delta=1):
         q += r
         p = _leaving_row(T[:r, q].tolist(), T[:r, last].tolist(), basis)
         if p < 0:
-            return UNBOUNDED, delta
+            # Phase 1 minimizes a sum of nonnegative artificials: never unbounded.
+            raise AssertionError("phase-1 simplex reported unbounded")
         delta = _pivot(T, p, q, delta)
         if dantzig:
             mask ^= (1 << basis[p]) | (1 << q)
@@ -256,10 +256,6 @@ def solve_free_le(A, b, start=None):
                 status, delta = _pivot_loop_numpy(T, basis, dantzig)
                 if status != OVERFLOW:
                     break
-    if status == UNBOUNDED:
-        # Phase 1 minimizes a sum of nonnegative variables; it cannot be
-        # unbounded, so this would be a kernel bug.
-        raise AssertionError("phase-1 simplex reported unbounded")
     r = n + 1
     state = (T, basis, delta)
     if status == INFEASIBLE:

@@ -4,6 +4,8 @@ Each command prints a human-readable report by default and a stable JSON
 report under ``--json`` (byte-identical across runs for identical inputs,
 which is why the elapsed-time field only appears in the human form).
 Exit codes: 0 on success, 1 on parse errors, 2 on violated preconditions.
+argparse also exits 2 on a usage error (a missing or unknown argument or
+option, or no subcommand), and 0 after ``--help``.
 
 Truth tables are given as binary strings (index 0 first) or "0x"-hex;
 input vectors are written x_1 first, so ``--at 110`` means x_1=1, x_2=1,

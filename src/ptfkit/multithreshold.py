@@ -30,7 +30,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import InputVector, TruthTable, compose_by_variable, const, xor
+from .core import MAX_VARS, InputVector, TruthTable, compose_by_variable, const, xor
 from .errors import DimensionMismatch, PreconditionError
 from .ptf import (
     PTF,
@@ -180,10 +180,10 @@ def extend_order(f_n: TruthTable, f1, f2) -> OrderExtensionResult:
     truth tables, in which case a shared realization is derived first.
     The result satisfies f_next(X, 0) = 0 and f_next(X, 1) = f_n(X), and
     carries a two-threshold shared-weight witness verified by full table
-    equality.
+    equality.  It has n + 1 variables, so n runs up to 15, checked first.
     """
-    if f_n.n < 2:
-        raise PreconditionError(f"order extension needs n >= 2, got n={f_n.n}")
+    if not 2 <= f_n.n < MAX_VARS:
+        raise PreconditionError(f"order extension needs n >= 2 and n < {MAX_VARS}, got n={f_n.n}")
     if isinstance(f1, PTF) and isinstance(f2, PTF):
         if f1.n != f_n.n or f2.n != f_n.n:
             raise DimensionMismatch("component realizations disagree with the target arity")

@@ -129,17 +129,16 @@ def _mask(m: Monomial) -> int:
 
 
 def _subset_sums(C):
-    """Subset-sum (zeta) transform along the last axis of C, in place.
+    """Subset-sum (zeta) transform of the 2^n-entry vector C, in place.
 
-    The last axis has 2^n entries and C[..., _mask(m)] holds monomial m's
-    weight; afterwards C[..., idx(X)] holds G(X), the sum of the weights
-    of the monomials true at X.  C is a C-contiguous int64 or object array
-    of any leading shape, and is returned.
+    C[_mask(m)] holds monomial m's weight; afterwards C[idx(X)] holds
+    G(X), the sum of the weights of the monomials true at X.  C is
+    returned.
     """
-    *lead, size = C.shape
+    size = len(C)
     for i in range(size.bit_length() - 1):
-        pairs = C.reshape(*lead, size >> (i + 1), 2, 1 << i)
-        pairs[..., 1, :] += pairs[..., 0, :]
+        pairs = C.reshape(size >> (i + 1), 2, 1 << i)
+        pairs[:, 1, :] += pairs[:, 0, :]
     return C
 
 
@@ -174,11 +173,11 @@ def monomials_up_to(n: int, d: int) -> list[Monomial]:
 
 @lru_cache(maxsize=None)
 def _monomial_matrix(n: int, d: int):
-    """0/1 matrix of monomial values: rows are inputs, columns monomials."""
+    """0/1 monomial values: M[x, m] = 1 iff table index x sets every variable of m."""
     mons = monomials_up_to(n, d)
-    units = np.zeros((len(mons), 1 << n), dtype=np.int64)
-    units[np.arange(len(mons)), [_mask(m) for m in mons]] = 1
-    M = np.ascontiguousarray(_subset_sums(units).T)
+    masks = np.array([_mask(m) for m in mons], dtype=np.int64)
+    x = np.arange(1 << n, dtype=np.int64)[:, None]
+    M = ((x & masks) == masks).astype(np.int64)
     M.setflags(write=False)
     return tuple(mons), M
 
@@ -188,29 +187,25 @@ def _realization_lp(f: TruthTable, d: int):
 
     One row ``A x <= b`` per input, in table-index order, over the
     degree-<=d monomial weights (in :func:`monomials_up_to` order) then
-    theta: ``theta - G(X) <= 0`` at a true input, ``G(X) - theta <= -1``
-    at a false one.
+    theta: ``sign * (monomial values at X, -1) <= f(X) - 1`` with sign -1 at
+    a true X and +1 at a false one, so ``theta - G(X) <= 0`` or ``G(X) - theta <= -1``.
     """
     if f.n > MAX_LP_VARS:
         raise PreconditionError(f"realizability LP capped at n <= {MAX_LP_VARS}, got {f.n}")
     if not 0 <= d <= f.n:
         raise PreconditionError(f"degree must be in 0..{f.n}, got {d}")
     _, M = _monomial_matrix(f.n, d)
-    nm = M.shape[1]
-    true_row = np.array(f.bits, dtype=np.int64) == 1
-    A = np.empty((f.size, nm + 1), dtype=np.int64)
-    A[:, :nm] = np.where(true_row[:, None], -M, M)
-    A[:, nm] = np.where(true_row, 1, -1)
-    b = np.where(true_row, 0, -1)
-    return A, b
+    bits = np.array(f.bits, dtype=np.int64)
+    sign = (1 - 2 * bits)[:, None]
+    return np.concatenate([sign * M, -sign], axis=1), bits - 1
 
 
 def _flipped_lp(A, b, j: int):
     """The realizability LP of f flipped at table index j, from f's ``(A, b)``.
 
-    A true row ``theta - G(X) <= 0`` and a false row ``G(X) - theta <= -1``
-    differ in sign and right-hand side alone, so row j is negated and its
-    right-hand side moved to the other side's value.  Returns new arrays.
+    Row X is ``sign * (monomial values at X, -1)`` with the sign set by f(X),
+    and ``b = f(X) - 1``, so flipping f at j negates row j and moves its
+    right-hand side to ``-1 - b[j]``.  Returns new arrays.
     """
     A, b = A.copy(), b.copy()
     A[j] = -A[j]

@@ -406,6 +406,18 @@ def test_extend_mismatched_components_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_extend_at_sixteen_variables_exits_2(tmp_path, capsys):
+    # the result would have 17 variables, one past the table cap
+    paths = []
+    for theta in (1, 2):
+        paths.append(tmp_path / f"theta{theta}.ptf")
+        paths[-1].write_text(f"1: 1\ntheta: {theta}\n")
+    x1 = "".join(str(i & 1) for i in range(1 << 16))
+    assert run(["--json", "extend", x1, *map(str, paths)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "n < 16" in err
+
+
 def _ptf_witness_text(witness: dict) -> str:
     lines = [f"{mon}: {coeff}" for mon, coeff in witness["coeffs"].items()]
     return "\n".join(lines) + f"\ntheta: {witness['theta']}\n"

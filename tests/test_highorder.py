@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from ptfkit import (
@@ -12,14 +13,17 @@ from ptfkit import (
     TruthTable,
     all_vectors,
     const,
+    extend_order,
     flip_at,
     high_order_vectors,
     is_high_order_vector,
     is_threshold,
+    minimal_realization,
     minterms,
     order,
     order_reduce,
     parse_table,
+    share_weights,
     single_minterm_witness,
     truth_table,
     vector_at,
@@ -274,6 +278,53 @@ def test_order_reduce_matches_the_climbing_reference(n, monkeypatch):
     # a reduction, g of order < 2 ("function ..."), a flip that is not threshold ("flip ...")
     want = {1: {"function"}, 2: {"reduced", "function"}}.get(n, {"reduced", "function", "flip"})
     assert kinds == want
+
+
+def _unrepeated_solves(monkeypatch) -> set:
+    """Fail on an LP solved twice through lp.feasible; clear the returned keys per operation."""
+    seen = set()
+    real_feasible = lp.feasible
+
+    def once(A, b, start=None):
+        A, b = np.asarray(A), np.asarray(b)
+        key = (A.shape, A.tobytes(), b.tobytes())
+        assert key not in seen, f"an LP of shape {A.shape} was solved twice in one operation"
+        seen.add(key)
+        return real_feasible(A, b, start)
+
+    monkeypatch.setattr(lp, "feasible", once)
+    return seen
+
+
+def _operations(g: TruthTable, partners):
+    """Every LP-backed operation on g as ``(function, *args)``, pairing g with ``partners``."""
+    yield order, g
+    yield minimal_realization, g
+    yield high_order_search, g
+    for Y in all_vectors(g.n):
+        yield is_high_order_vector, g, Y
+        yield order_reduce, g, Y
+    for h in partners:
+        yield share_weights, g, h
+        if g.n >= 2:
+            yield extend_order, xor(g, h), g, h
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4], ids=["n1", "n2", "n3", "n4-sampled"])
+def test_no_operation_solves_an_lp_twice(n, monkeypatch):
+    rng = random.Random(21 + n)
+    tables = list(all_tables(n)) if n <= 3 else _sampled_n4_tables()[:24]
+    seen = _unrepeated_solves(monkeypatch)
+    solved = 0
+    for g in tables:
+        for fn, *args in _operations(g, rng.sample(tables, 3)):
+            seen.clear()
+            try:
+                fn(*args)
+            except PreconditionError:
+                pass
+            solved += len(seen)
+    assert solved > len(tables)
 
 
 def test_order_reduce_solves_no_lp_twice(monkeypatch):

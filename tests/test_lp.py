@@ -54,6 +54,14 @@ def test_contradictory_bounds_infeasible():
     assert ray == [1, 1]
 
 
+def test_an_entering_column_without_a_leaving_row_raises(monkeypatch):
+    # phase 1 minimizes a sum of nonnegative artificials, so a ratio test
+    # that finds no row is a kernel bug, not an unbounded verdict
+    monkeypatch.setattr(_simplex, "_leaving_row", lambda col, rhs, basis: -1)
+    with pytest.raises(AssertionError, match="phase-1 simplex reported unbounded"):
+        lp.feasible(np.array([[-1], [1]]), np.array([-1, 0]))
+
+
 def test_interval_feasible():
     res = _checked([[-1], [1]], [-1, 2])
     assert res.feasible

@@ -69,3 +69,15 @@ def test_only_ptf_runs_the_subset_sum_transform():
     transform = {"_subset_sums", "_scaled_sums"}
     mentions = {name for name, tree in _trees().items() if transform & _identifiers(tree)}
     assert mentions == {"ptf"}
+
+
+def test_inside_ptf_only_scaled_sums_calls_the_transform():
+    # the monomial matrix is the subset test itself, not a transform of unit vectors
+    callers = {
+        fn.name
+        for fn in ast.walk(_trees()["ptf"])
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_subset_sums"
+    }
+    assert callers == {"_scaled_sums"}

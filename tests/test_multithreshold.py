@@ -23,6 +23,7 @@ from ptfkit import (
     eval_shared_weight,
     eval_xor_list,
     extend_order,
+    multithreshold,
     parse_table,
     synthesize_shared_weight,
     to_truth_table,
@@ -245,6 +246,16 @@ def test_extend_order_precondition_failures():
         extend_order(AND2, OR2_PTF, AND2_PTF)
     with pytest.raises(PreconditionError, match="shared-weight"):
         extend_order(xor(parse_table("0101"), parse_table("0011")), parse_table("0101"), parse_table("0011"))
+
+
+def test_extend_order_stops_below_the_table_cap_before_building_a_table(monkeypatch):
+    # at n = 16 the extension would have 17 variables
+    monkeypatch.setattr(multithreshold, "compose_by_variable", None)
+    monkeypatch.setattr(multithreshold, "truth_table", None)
+    x1 = TruthTable(16, tuple(i & 1 for i in range(1 << 16)))
+    p1, p2 = PTF(16, {(1,): 1}, 1), PTF(16, {(1,): 1}, 2)
+    with pytest.raises(PreconditionError, match="n < 16, got n=16"):
+        extend_order(x1, p1, p2)
 
 
 def test_extend_order_rejects_components_of_the_wrong_arity():
