@@ -160,10 +160,11 @@ def check_asummability_theorem(f: TruthTable, m_max: int) -> ConsistencyReport:
     because only a bounded search ran.
 
     Capped by ``ptf.MAX_LP_VARS`` and ``MAX_SEARCH_CELLS``: at n = 10 with
-    m_max = 2 it takes about 0.05 s on a 2-CPU x86_64 VM.
+    m_max = 2 it takes about 0.05 s on a 2-CPU x86_64 VM.  The search runs
+    first, so its preconditions fail before any LP.
     """
-    witness = is_threshold(f)
     cert = find_certificate(f, m_max)
+    witness = is_threshold(f)
     lp_threshold = witness is not None
     consistent = not (lp_threshold and cert is not None)
     inconclusive = not lp_threshold and cert is None

@@ -181,6 +181,8 @@ def extend_order(f_n: TruthTable, f1, f2) -> OrderExtensionResult:
     The result satisfies f_next(X, 0) = 0 and f_next(X, 1) = f_n(X), and
     carries a two-threshold shared-weight witness verified by full table
     equality.  It has n + 1 variables, so n runs up to 15, checked first.
+    Table components need :func:`ptfkit.ptf.share_weights`, which tests a
+    table of n + 1 variables, so they run up to ``MAX_LP_VARS - 1`` = 9.
     """
     if not 2 <= f_n.n < MAX_VARS:
         raise PreconditionError(f"order extension needs n >= 2 and n < {MAX_VARS}, got n={f_n.n}")

@@ -29,7 +29,7 @@ from math import ceil, lcm
 import numpy as np
 
 from . import lp
-from .core import MAX_VARS, InputVector, TruthTable, _check_same, _index
+from .core import MAX_VARS, InputVector, TruthTable, _index, compose_by_variable
 from .errors import PreconditionError
 
 # LP systems have 2^n rows; keep realizability calls at desk scale.
@@ -213,15 +213,10 @@ def _flipped_lp(A, b, j: int):
     return A, b
 
 
-def _witness(proof) -> list[Fraction]:
-    """The point ``x / t`` of re-checked phase-1 multipliers ``(x, t)``."""
-    x, t = proof
-    return [Fraction(v, t) for v in x]
-
-
 def _ptf_of(n: int, d: int, proof) -> PTF:
-    """The PTF whose degree-d weights then theta are the witness of ``proof``."""
-    w = _witness(proof)
+    """The PTF whose degree-d weights then theta are the point ``x / t`` of ``proof = (x, t)``."""
+    x, t = proof
+    w = [Fraction(v, t) for v in x]
     return PTF(n, dict(zip(_monomial_matrix(n, d)[0], w)), w[-1])
 
 
@@ -325,18 +320,18 @@ def share_weights(
 ) -> tuple[WeightMap, Fraction, Fraction] | None:
     """Common degree-1 weights realizing f and g with separate thresholds.
 
-    One LP over shared weights w and two thresholds; present exactly when
-    the two functions belong to one same-weight family.
+    f and g share weights w with thresholds t_f and t_g exactly when the
+    table h that is f at x_{n+1} = 0 and g at x_{n+1} = 1
+    (:func:`ptfkit.core.compose_by_variable`) is a threshold function, with
+    weight t_f - t_g on x_{n+1} and threshold t_f.  So this is one threshold
+    test of h, present exactly when f and g belong to one same-weight family.
+    h has n + 1 variables, so n runs up to ``MAX_LP_VARS - 1``, checked first.
     """
-    _check_same(f, g)
-    # each table's degree-1 rows, with a zero column for the other's theta
-    n = f.n
-    Af, bf = _realization_lp(f, 1)
-    Ag, bg = _realization_lp(g, 1)
-    A = np.vstack([np.insert(Af, n + 1, 0, axis=1), np.insert(Ag, n, 0, axis=1)])
-    ok, proof = lp.feasible(A, np.concatenate([bf, bg]))
-    if not ok:
+    if f.n >= MAX_LP_VARS:
+        raise PreconditionError(f"shared weights capped at n <= {MAX_LP_VARS - 1}, got {f.n}")
+    p = is_threshold(compose_by_variable(f, g))
+    if p is None:
         return None
-    w = _witness(proof)
-    weights = {(i + 1,): w[i] for i in range(n) if w[i]}
-    return weights, w[n], w[n + 1]
+    weights = dict(p.coeffs)
+    u = weights.pop((f.n + 1,), Fraction(0))
+    return weights, p.theta, p.theta - u

@@ -90,6 +90,10 @@ def find_integer_point(A, b, bound: int):
 def share_weights_system(f, g):
     """The shared-weight LP of f and g, built row by row as ``(A, b)``.
 
+    The independent verdict reference for ``share_weights``, which instead
+    tests the table joining f and g by a selector variable; the two LPs
+    agree on feasibility but may give different witnesses.
+
     Columns are the n degree-1 weights, f's theta, then g's theta; rows are
     f's inputs, then g's, in table-index order: ``theta - w.X <= 0`` at a
     true input and ``w.X - theta <= -1`` at a false one.

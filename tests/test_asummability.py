@@ -19,7 +19,7 @@ from ptfkit import (
     is_m_asummable,
     is_threshold,
 )
-from ptfkit import asummability
+from ptfkit import asummability, lp
 from ptfkit.cli import certificate_to_json
 from conftest import AND2, OR2, XOR2, all_tables
 from oracles import first_certificate_reference, naive_certificate_exists
@@ -116,6 +116,25 @@ def test_theorem_check_runs_up_to_the_lp_cap():
     assert rep.consistent and not rep.inconclusive
     with pytest.raises(PreconditionError, match="LP capped"):
         check_asummability_theorem(_dictator(11), 2)
+
+
+@pytest.mark.parametrize(
+    "f, m_max", [(XOR2, 1), (_dictator(10), 3)], ids=["m-below-2", "over-the-search-cap"]
+)
+def test_theorem_check_refuses_a_bad_search_before_any_lp(f, m_max, monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved before the search's preconditions")
+
+    monkeypatch.setattr(lp, "feasible", no_lp)
+    with pytest.raises(PreconditionError):
+        check_asummability_theorem(f, m_max)
+
+
+def test_forged_certificate_check_raises(monkeypatch):
+    # every certificate the search returns is verified against the table
+    monkeypatch.setattr(SummabilityCertificate, "verify", lambda self, f: False)
+    with pytest.raises(AssertionError, match="invalid certificate"):
+        find_certificate(XOR2, 2)
 
 
 def test_multiset_keys_encode_the_summed_vectors():

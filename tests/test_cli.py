@@ -322,6 +322,28 @@ def test_extend_past_the_digit_limit_exits_2(tmp_path, capsys):
         ["hov", "0110"],
         ["reduce", "0110", "--at", "11"],
         ["extend", "0110", "fixtures/or2.ptf", "fixtures/and2.ptf"],
+        ["asummable", "0110", "--m", "2"],
+        ["family", "fixtures/w11.weights"],
+        ["synth-mtf", "0110", "--k-max", "2"],
+        ["eval", "fixtures/or2.ptf", "--at", "10"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_after_the_subcommand_prints_the_same_report(argv, capsys, monkeypatch):
+    monkeypatch.chdir(TESTS_DIR)
+    code, before = run_json(argv, capsys)
+    assert code == 0 and json.loads(before)["command"] == argv[0]
+    assert run([*argv, "--json"]) == 0
+    assert capsys.readouterr().out == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "0110"],
+        ["hov", "0110"],
+        ["reduce", "0110", "--at", "11"],
+        ["extend", "0110", "fixtures/or2.ptf", "fixtures/and2.ptf"],
         ["asummable", "0110"],
         ["synth-mtf", "0110", "--k-max", "2"],
     ],

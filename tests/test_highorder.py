@@ -12,6 +12,7 @@ from ptfkit import (
     PreconditionError,
     TruthTable,
     all_vectors,
+    check_asummability_theorem,
     const,
     extend_order,
     flip_at,
@@ -32,7 +33,7 @@ from ptfkit import (
 from ptfkit import _simplex, highorder, lp
 from ptfkit.cli import hov_to_json
 from ptfkit.highorder import OrderReduction, high_order_search
-from ptfkit.ptf import PTF, _flipped_lp
+from ptfkit.ptf import PTF, _flipped_lp, _realization_lp, monomials_up_to
 from conftest import AND2, NAND2, OR2, XOR2, all_tables, parity_table
 from oracles import order_reduce_reference
 
@@ -280,19 +281,28 @@ def test_order_reduce_matches_the_climbing_reference(n, monkeypatch):
     assert kinds == want
 
 
+def _checked_solves(monkeypatch, check) -> None:
+    """Call ``check(A, b)`` on every system solved through lp.feasible, before it is solved."""
+    real_feasible = lp.feasible
+
+    def checked(A, b, start=None):
+        A, b = np.asarray(A), np.asarray(b)
+        check(A, b)
+        return real_feasible(A, b, start)
+
+    monkeypatch.setattr(lp, "feasible", checked)
+
+
 def _unrepeated_solves(monkeypatch) -> set:
     """Fail on an LP solved twice through lp.feasible; clear the returned keys per operation."""
     seen = set()
-    real_feasible = lp.feasible
 
-    def once(A, b, start=None):
-        A, b = np.asarray(A), np.asarray(b)
+    def once(A, b):
         key = (A.shape, A.tobytes(), b.tobytes())
         assert key not in seen, f"an LP of shape {A.shape} was solved twice in one operation"
         seen.add(key)
-        return real_feasible(A, b, start)
 
-    monkeypatch.setattr(lp, "feasible", once)
+    _checked_solves(monkeypatch, once)
     return seen
 
 
@@ -300,6 +310,8 @@ def _operations(g: TruthTable, partners):
     """Every LP-backed operation on g as ``(function, *args)``, pairing g with ``partners``."""
     yield order, g
     yield minimal_realization, g
+    yield is_threshold, g
+    yield check_asummability_theorem, g, 2
     yield high_order_search, g
     for Y in all_vectors(g.n):
         yield is_high_order_vector, g, Y
@@ -327,6 +339,31 @@ def test_no_operation_solves_an_lp_twice(n, monkeypatch):
     assert solved > len(tables)
 
 
+def _assert_one_tables_lp(A, b) -> None:
+    """Fail unless ``(A, b)`` is ``_realization_lp(t, d)`` for the table t with bits ``b + 1``."""
+    k = A.shape[0].bit_length() - 1
+    widths = [len(monomials_up_to(k, d)) + 1 for d in range(k + 1)]
+    assert A.shape[1] in widths, f"an LP of shape {A.shape} has the columns of no degree"
+    table = TruthTable(k, tuple((b + 1).tolist()))
+    for got, want in zip((A, b), _realization_lp(table, widths.index(A.shape[1]))):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4], ids=["n1", "n2", "n3", "n4-sampled"])
+def test_every_lp_is_one_tables_realizability_lp(n, monkeypatch):
+    rng = random.Random(21 + n)
+    tables = list(all_tables(n)) if n <= 3 else _sampled_n4_tables()[:24]
+    solves = _counted_solves(monkeypatch)
+    _checked_solves(monkeypatch, _assert_one_tables_lp)
+    for g in tables:
+        for fn, *args in _operations(g, rng.sample(tables, 3)):
+            try:
+                fn(*args)
+            except PreconditionError:
+                pass
+    assert solves["lp"] > len(tables)
+
+
 def test_order_reduce_solves_no_lp_twice(monkeypatch):
     solves = _counted_solves(monkeypatch)
     # parity-4: 5 LPs climb g, one solves the flip at degree 3, which is feasible
@@ -345,6 +382,20 @@ def test_forged_flip_witness_raises(monkeypatch):
     # the witness of the flip's degree-1 LP is checked against the flipped table
     monkeypatch.setattr(highorder, "_ptf_of", lambda n, d, proof: PTF(n, {(1,): 1}, 1))
     with pytest.raises(AssertionError, match="table check"):
+        order_reduce(XOR2, (1, 1))
+
+
+def test_forged_remainder_minterms_raise(monkeypatch):
+    # g XOR flip(g, Y) is checked to be true exactly at Y
+    monkeypatch.setattr(highorder, "minterms", lambda f: [])
+    with pytest.raises(AssertionError, match="exactly at Y"):
+        order_reduce(XOR2, (1, 1))
+
+
+def test_forged_single_minterm_witness_raises(monkeypatch):
+    # the closed-form witness of the remainder is checked against its table
+    monkeypatch.setattr(highorder, "single_minterm_witness", lambda Y: PTF(len(Y), {}, 1))
+    with pytest.raises(AssertionError, match="single-minterm witness failed"):
         order_reduce(XOR2, (1, 1))
 
 

@@ -23,7 +23,9 @@ from ptfkit import (
     eval_shared_weight,
     eval_xor_list,
     extend_order,
+    lp,
     multithreshold,
+    ptf,
     parse_table,
     synthesize_shared_weight,
     to_truth_table,
@@ -256,6 +258,38 @@ def test_extend_order_stops_below_the_table_cap_before_building_a_table(monkeypa
     p1, p2 = PTF(16, {(1,): 1}, 1), PTF(16, {(1,): 1}, 2)
     with pytest.raises(PreconditionError, match="n < 16, got n=16"):
         extend_order(x1, p1, p2)
+
+
+@pytest.mark.parametrize("n", [10, 16])
+def test_extend_order_stops_table_components_below_the_lp_cap(n, monkeypatch):
+    # the shared-weight test of table components joins them into n + 1 variables
+    monkeypatch.setattr(multithreshold, "compose_by_variable", None)
+    monkeypatch.setattr(ptf, "compose_by_variable", None)
+    monkeypatch.setattr(lp, "feasible", None)
+    x1 = TruthTable(n, tuple(i & 1 for i in range(1 << n)))
+    with pytest.raises(PreconditionError):
+        extend_order(const(n, 0), x1, x1)
+
+
+def test_forged_synthesis_table_raises(monkeypatch):
+    # a synthesized representation is checked against the table it was asked for
+    monkeypatch.setattr(multithreshold, "to_truth_table", lambda rep: const(rep.n, 0))
+    with pytest.raises(AssertionError, match="synthesized representation"):
+        synthesize_shared_weight(XOR2, 2, 1)
+
+
+def test_forged_extension_table_raises(monkeypatch):
+    # the lifted table is checked to be 0 at x_{n+1} = 0 and f_n at x_{n+1} = 1
+    monkeypatch.setattr(multithreshold, "const", lambda n, value: const(n, 1))
+    with pytest.raises(AssertionError, match="extension must be 0"):
+        extend_order(XOR2, OR2_PTF, AND2_PTF)
+
+
+def test_forged_extension_witness_raises(monkeypatch):
+    # the two-threshold witness is checked against the lifted table
+    monkeypatch.setattr(multithreshold, "to_truth_table", lambda rep: const(rep.n, 0))
+    with pytest.raises(AssertionError, match="two-threshold witness"):
+        extend_order(XOR2, OR2_PTF, AND2_PTF)
 
 
 def test_extend_order_rejects_components_of_the_wrong_arity():

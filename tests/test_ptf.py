@@ -14,6 +14,7 @@ from ptfkit import (
     PreconditionError,
     TruthTable,
     all_vectors,
+    compose_by_variable,
     const,
     eval_G,
     flip_at,
@@ -28,8 +29,9 @@ from ptfkit import (
     vector_at,
     xor,
 )
-from ptfkit import lp
+from ptfkit import lp, ptf
 from ptfkit.cli import format_ptf_text, parse_ptf_text
+from ptfkit.core import MAX_VARS
 from ptfkit.ptf import (
     MAX_LP_VARS,
     _flipped_lp,
@@ -265,6 +267,22 @@ def test_share_weights_cap():
         share_weights(big, big)
 
 
+@pytest.mark.parametrize("n", [MAX_LP_VARS, MAX_VARS])
+def test_share_weights_stops_below_the_lp_cap_before_joining(n, monkeypatch):
+    # the joined table has n + 1 variables
+    monkeypatch.setattr(ptf, "compose_by_variable", None)
+    monkeypatch.setattr(lp, "feasible", None)
+    t = const(n, 0)
+    with pytest.raises(PreconditionError, match=f"capped at n <= {MAX_LP_VARS - 1}, got {n}"):
+        share_weights(t, t)
+
+
+def test_a_climb_with_no_feasible_degree_raises(monkeypatch):
+    monkeypatch.setattr(lp, "feasible", lambda A, b, start=None: lp.FeasibilityResult(False, []))
+    with pytest.raises(AssertionError, match="realizable at degree n"):
+        order(XOR2)
+
+
 def _seeded_pairs(count: int):
     """Half the pairs sweep one random weight vector, so they share weights."""
     rng = random.Random(2024)
@@ -287,13 +305,15 @@ def _assert_shares_as_row_by_row_reference(pairs) -> int:
     shared_count = 0
     for f, g in pairs:
         shared = share_weights(f, g)
-        ok, proof = lp.feasible(*share_weights_system(f, g))
+        ok, _ = lp.feasible(*share_weights_system(f, g))
         if not ok:
             assert shared is None
             continue
-        x, t = proof
-        w = [Fraction(v, t) for v in x]
-        assert shared == ({(i + 1,): w[i] for i in range(f.n) if w[i]}, w[f.n], w[f.n + 1])
+        # the witness is the joined table's degree-1 realization, split at x_{n+1}
+        p = is_threshold(compose_by_variable(f, g))
+        u = p.coeffs.get((f.n + 1,), 0)
+        split = {m: c for m, c in p.coeffs.items() if m != (f.n + 1,)}
+        assert shared == (split, p.theta, p.theta - u)
         weights, theta_f, theta_g = shared
         assert truth_table(PTF(f.n, weights, theta_f)) == f
         assert truth_table(PTF(f.n, weights, theta_g)) == g
