@@ -25,26 +25,40 @@ terminates from any feasible basis.
 
 Warm start
 ----------
-A system that differs from an already solved one in a single row ``j``
-differs on the Farkas side in the column of ``y_j`` alone.  The final
-tableau of the solved system holds ``delta * B^-1`` in its artificial
-block, so the new column and its reduced cost are formed exactly from
-it, and the old basis is still a feasible basis of the new system when
-``y_j`` is nonbasic.  When ``y_j`` is basic at value 0, one degenerate
-pivot first swaps it for a nonbasic artificial, the one artificial that
-re-enters.  The loop then continues from that basis, keeping the
-starting ``delta`` (the new basis's determinant), under the same rules
-and with the same proofs.  A positive basic ``y_j`` starts cold.
+After a system's first LP, the next one starts from the final state
+``(T, basis, delta, signs)`` of a solve already done.  ``signs`` holds one
++-1 per equality row: the row is multiplied by it, which keeps every
+artificial's value nonnegative (a cold build has all +1).  The
+artificial block of ``T`` is ``delta * B^-1``, so every new column and its
+reduced cost are formed exactly from it.  Two kinds of start:
+
+* **A changed row** ``j`` changes the column of ``y_j`` alone
+  (:func:`_warm_start`).  The old basis stays feasible when ``y_j`` is
+  nonbasic.  When ``y_j`` is basic at 0, one degenerate pivot first swaps
+  it for a nonbasic artificial, the one artificial that re-enters.  When
+  ``y_j`` is basic and positive, its basis slot keeps the old column as a
+  *kept artificial*, numbered ``r + m + p`` in row ``p`` (past every
+  ``y``, and distinct from any other kept artificial): it costs 1 like
+  the others, has no column in ``T``, is never priced, and so never
+  re-enters.
+* **Inserted columns** add equality rows (:func:`_lift`; Chvatal,
+  *Linear Programming*, 1983).  Each new row gets its own basic
+  artificial, and its sign makes that artificial's value
+  ``|A[:, i]^T y|``.  The basis determinant, ``delta``, is unchanged.
+
+The loop then continues from that basis, keeping the starting ``delta``
+(the new basis's determinant), under the same rules and with the same
+proofs.
 
 The solve ends with a proof either way:
 
-* the artificials' sum reaches 0: the basic ``y`` values are a Farkas
-  ray, and ``A x <= b`` is infeasible;
+* the artificials' sum (a kept artificial's value included) reaches 0:
+  the basic ``y`` values are a Farkas ray, and ``A x <= b`` is infeasible;
 * no ``y`` column prices out while the sum ``w`` is still positive: the
-  simplex multipliers ``pi = (u, t)``, read from the artificials'
-  reduced costs ``1 - pi_k``, satisfy ``A u - b t <= 0`` (the ``y``
-  columns price out) and ``t = w > 0``, so ``u / t`` is a point of
-  ``A x <= b``.
+  simplex multipliers ``pi`` of the signed rows, read from the
+  artificials' reduced costs ``1 - pi_k``, give ``(u, t) = signs * pi``
+  with ``A u - b t <= 0`` (the ``y`` columns price out) and ``t = w > 0``,
+  so ``u / t`` is a point of ``A x <= b``.
 
 Fraction-free arithmetic
 ------------------------
@@ -190,20 +204,24 @@ def _pivot_loop_numpy(T, basis, dantzig: bool, delta=1):
 def _warm_start(A, b, state, j):
     """A final phase-1 state made a start for ``A x <= b``, or None for a cold solve.
 
-    ``state = (T, basis, delta)`` ended the solve of a system that differs
-    from ``A x <= b`` in row ``j`` alone, so only the column of ``y_j``
-    changes: it is ``delta * B^-1 c`` with ``c = (A[j], -b[j])``, read off
-    the artificial block ``delta * B^-1``, and its reduced cost follows
-    from the cost row the same way.  The basis stays primal feasible when
-    ``y_j`` is nonbasic, or basic at 0 after one degenerate pivot swaps it
-    for an artificial; a positive basic ``y_j``, an object-dtype state, a
-    row too large for an int64 product, and a degenerate pivot that passes
-    the guard all return None.  ``state`` is not modified.
+    ``state = (T, basis, delta, signs)`` ended the solve of a system that
+    differs from ``A x <= b`` in row ``j`` alone, so only the column of
+    ``y_j`` changes: it is ``delta * B^-1 c`` with the signed
+    ``c = signs * (A[j], -b[j])``, read off the artificial block
+    ``delta * B^-1``, and its reduced cost follows from the cost row the
+    same way.  A nonbasic ``y_j`` leaves the basis feasible.  A ``y_j``
+    basic at 0 is swapped for an artificial by one degenerate pivot.  A
+    positive basic ``y_j`` in row ``p`` leaves its old column in the basis
+    as the kept artificial ``r + m + p``, whose cost 1 moves its row into
+    the cost row.  An object-dtype state, a row too large for an int64
+    product and a start that passes the guard all return None.
+    ``state`` is not modified.
     """
-    T, basis, delta = state
+    T, basis, delta, signs = state
     r = T.shape[0] - 1
+    m = T.shape[1] - r - 1
     q = r + j
-    c = np.append(A[j], -b[j])
+    c = signs * np.append(A[j], -b[j])
     # With every entry of T within the guard, the products below stay in int64.
     if T.dtype == object or int(np.abs(c).sum()) * _INT64_GUARD >= 1 << 62:
         return None
@@ -211,44 +229,101 @@ def _warm_start(A, b, state, j):
     if q in basis:
         p = basis.index(q)
         if T[p, -1] != 0:
-            return None
-        # Row p of delta * B^-1 is nonzero, and a basic artificial's column
-        # is zero off its own row, so k is a nonbasic artificial.
-        k = int(np.flatnonzero(T[p, :r])[0])
-        delta = _pivot(T, p, k, delta)
-        basis[p] = k
-        if delta < 0:
-            np.negative(T, out=T)
-            delta = -delta
+            basis[p] = r + m + p
+            T[r] -= T[p]
+        else:
+            # Row p of delta * B^-1 is nonzero, and a basic artificial's column
+            # is zero off its own row, so k is a nonbasic artificial.
+            k = int(np.flatnonzero(T[p, :r])[0])
+            delta = _pivot(T, p, k, delta)
+            basis[p] = k
+            if delta < 0:
+                np.negative(T, out=T)
+                delta = -delta
         # Checked before the product below, which would wrap silently.
         if _overflows(T):
             return None
     T[:r, q] = T[:r, :r] @ c
     T[r, q] = T[r, :r] @ c - delta * c.sum()
-    return T, basis, delta
+    return T, basis, delta, signs
+
+
+def _lift(A, b, state, new):
+    """A final phase-1 state lifted to ``A x <= b``, or None for a cold solve.
+
+    ``state`` ended the solve of ``A x <= b`` without the columns ``new``,
+    a slice before the last column.  Each new column ``i`` adds the
+    equality ``A[:, i]^T y = 0``, whose basic artificial takes the value
+    ``|A[:, i]^T y|`` at the old basic ``y`` under the row sign
+    ``-sign(A[:, i]^T y)`` (+1 on a tie).  The old rows keep their entries,
+    their artificials and ``y`` renumbered; a new row is its signed
+    equality times ``delta`` less the old rows that cancel its basic ``y``
+    entries.  An object-dtype state, a kept artificial (its column is not
+    stored), a product past int64 and a lifted tableau past the guard all
+    return None.  ``state`` is not modified.
+    """
+    T, basis, delta, signs = state
+    r0 = T.shape[0] - 1
+    m = A.shape[0]
+    if (
+        T.dtype == object
+        or max(basis) >= r0 + m
+        or int(np.abs(A[:, new]).max(initial=0)) * r0 * _INT64_GUARD >= 1 << 62
+    ):
+        return None
+    cols = A[:, new].astype(np.int64)
+    k = cols.shape[1]
+    r = r0 + k
+    # Old variable ids from new.start on (the artificials of the later rows,
+    # then every y) move k places right, past the new artificials.
+    old = np.r_[0 : new.start, new.start + k : r + m + 1]
+    N = np.zeros((k, r0), dtype=np.int64)
+    for p, v in enumerate(basis):
+        if v >= r0:
+            N[:, p] = cols[v - r0]
+    s = np.where(N @ T[:r0, -1] > 0, -1, 1)
+    N *= s[:, None]
+    L = np.zeros((r + 1, r + m + 1), dtype=np.int64)
+    L[:r0, old] = T[:r0]
+    L[r0:r, old] = -N @ T[:r0]
+    L[range(r0, r), range(new.start, new.start + k)] = delta
+    L[r0:r, r : r + m] += delta * s[:, None] * cols.T
+    basis = [v + k if v >= new.start else v for v in basis] + list(range(new.start, new.start + k))
+    L[r, :r] = delta
+    L[r] -= L[[p for p, v in enumerate(basis) if v < r]].sum(axis=0)
+    # The cost row can wrap only when a row it sums passes the guard.
+    if _overflows(L):
+        return None
+    return L, basis, delta, np.insert(signs, new.start, s)
 
 
 def solve_free_le(A, b, start=None):
     """Decide ``A x <= b`` over free variables by the Farkas phase 1.
 
     ``A`` is an integer ``m x n`` matrix with ``m >= 1``, ``b`` an integer
-    vector.  ``start = (state, j)`` continues from the final ``state`` of
-    a solve of a system that differs from this one in row ``j`` alone,
-    where :func:`_warm_start` allows it; an OVERFLOW there restarts on the
-    cold ladder.  Returns ``(False, y, state)`` with Python-int ``y >= 0``,
-    ``A^T y = 0`` and ``b^T y < 0`` when the system is infeasible, else
+    vector.  ``start = (state, at)`` continues from the final ``state`` of
+    a solve of a system that differs from this one in row ``at`` alone
+    (an int, :func:`_warm_start`) or by the inserted columns ``at`` (a
+    slice, :func:`_lift`).  A None state, a start either refuses, and an
+    OVERFLOW after a start solve cold on the ladder.  Returns
+    ``(False, y, state)`` with Python-int ``y >= 0``, ``A^T y = 0`` and
+    ``b^T y < 0`` when the system is infeasible, else
     ``(True, (x, t), state)`` with Python ints, ``t > 0`` and
-    ``A x <= t b``; ``state`` is the final ``(T, basis, delta)``.
+    ``A x <= t b``; ``state`` is the final ``(T, basis, delta, signs)``.
     """
     A = np.asarray(A)
     b = np.asarray(b)
     m, n = A.shape
+    r = n + 1
     status = OVERFLOW
-    warm = None if start is None else _warm_start(A, b, *start)
-    if warm is not None:
-        T, basis, delta = warm
-        status, delta = _pivot_loop_numpy(T, basis, True, delta)
+    state, at = start or (None, None)
+    if state is not None:
+        warm = (_lift if isinstance(at, slice) else _warm_start)(A, b, state, at)
+        if warm is not None:
+            T, basis, delta, signs = warm
+            status, delta = _pivot_loop_numpy(T, basis, True, delta)
     if status == OVERFLOW:
+        signs = np.ones(r, dtype=np.int64)
         fits = max(int(np.abs(A).max(initial=0)), int(np.abs(b).max(initial=0))) <= _INT64_GUARD
         for dtype, dantzig in _RUNGS:
             if dtype is object or fits:
@@ -256,14 +331,14 @@ def solve_free_le(A, b, start=None):
                 status, delta = _pivot_loop_numpy(T, basis, dantzig)
                 if status != OVERFLOW:
                     break
-    r = n + 1
-    state = (T, basis, delta)
+    state = (T, basis, delta, signs)
     if status == INFEASIBLE:
         y = [0] * m
         for v, value in zip(basis, T[:r, -1].tolist()):
-            if v >= r:
+            # Ids from r + m on are kept artificials, at 0 here.
+            if r <= v < r + m:
                 y[v - r] = value
         return False, y, state
     # An artificial's reduced cost is 1 - pi_k, scaled by delta.
-    pi = [int(delta) - v for v in T[r, :r].tolist()]
-    return True, (pi[:n], pi[n]), state
+    x = [s * (int(delta) - v) for s, v in zip(signs.tolist(), T[r, :r].tolist())]
+    return True, (x[:n], x[n]), state

@@ -57,8 +57,11 @@ def _prober(g: TruthTable):
       g's in row j alone; it is re-checked against that system instead of
       solving it.
     * at r, only when s is not r-1 and r < n: infeasible there means
-      s = r+1.  The solve starts from the final state of g's own solve at
-      r, which the climb already holds.
+      s = r+1.
+
+    Each solve starts from the final state of g's own solve at that
+    degree, which the climb already holds; at r-1, ``y_j`` is basic and
+    positive there, so it stays in the basis as the kept artificial.
     """
     if g.n > MAX_PROBE_VARS:
         raise PreconditionError(f"high-order probes capped at n <= {MAX_PROBE_VARS}, got {g.n}")
@@ -69,7 +72,7 @@ def _prober(g: TruthTable):
             A, b, res = below
             A, b = _flipped_lp(A, b, j)
             if res.proof[j]:
-                ok, proof = lp.feasible(A, b)
+                ok, proof = lp.feasible(A, b, start=(res.state, j))
                 if ok:
                     return r - 1, proof
             elif not lp._is_farkas_ray(A, b, res.proof):

@@ -34,8 +34,9 @@ class FeasibilityResult(_Verdict):
     """A verdict and its re-checked proof: the multipliers ``(x, t)`` or a Farkas ray.
 
     It unpacks as ``ok, proof``.  The attribute ``state`` is the solver's
-    final phase-1 state, a warm start for a system that differs in one row
-    (None for a system without rows).
+    final phase-1 state ``(T, basis, delta, signs)``, a warm start for a
+    system that differs in one row or by inserted columns (None for a
+    system without rows).
     """
 
     def __new__(cls, feasible, proof, state=None):
@@ -53,8 +54,10 @@ def feasible(A, b, start=None) -> FeasibilityResult:
     ``b^T y < 0``, one per row.  A system with no rows is feasible with
     ``x = 0``.  A proof that fails its check raises AssertionError.
     ``start = (state, j)`` warm-starts from the ``state`` of a result for
-    a system that differs from this one in row ``j`` alone; the proof is
-    checked against this system all the same.
+    a system that differs from this one in row ``j`` alone, and
+    ``start = (state, cols)`` from one that lacks only the columns of the
+    slice ``cols``; a None state starts cold.  The proof is checked
+    against this system all the same.
     """
     A = np.asarray(A)
     b = np.asarray(b)

@@ -245,19 +245,22 @@ def _climb(f: TruthTable) -> tuple[int, tuple | None, tuple]:
     """The order r of f, and f's LPs at degrees r-1 and r, each as ``(A, b, result)``.
 
     Decides degree 0, 1, ... by :func:`lp.feasible`, each with a
-    re-checked proof, and stops at the first feasible degree.  The LP
-    below r (None at r = 0) carries the Farkas ray the climb already holds
-    when degree r-1 fails, and the LP at r the multipliers ``(x, t)`` and
-    the final phase-1 state (a warm start for a flip of f there), so
-    neither costs an extra LP or a second encoding.
+    re-checked proof, and stops at the first feasible degree.  Degree 0
+    solves cold; each later degree starts from the final state of the one
+    below, lifted by the degree-d monomial columns, which is all that the
+    two systems differ in.  The LP below r (None at r = 0) carries the
+    Farkas ray the climb already holds when degree r-1 fails, and the LP at
+    r the multipliers ``(x, t)``; each carries its final phase-1 state (a
+    warm start for a flip of f there), so none costs an extra LP or a
+    second encoding.
     """
-    below = None
+    below, state, width = None, None, 0
     for d in range(f.n + 1):
         A, b = _realization_lp(f, d)
-        res = lp.feasible(A, b)
+        res = lp.feasible(A, b, (state, slice(width, A.shape[1] - 1)))
         if res.feasible:
             return d, below, (A, b, res)
-        below = A, b, res
+        below, state, width = (A, b, res), res.state, A.shape[1] - 1
     raise AssertionError("every function is realizable at degree n")
 
 

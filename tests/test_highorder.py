@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,7 +133,7 @@ def test_a_probe_solves_at_most_two_lps(monkeypatch):
 
 def _entry_case(state, j):
     """How g's final basis meets the column of ``y_j`` that a flip at j replaces."""
-    T, basis, _ = state
+    T, basis, _, _ = state
     q = T.shape[0] - 1 + j
     if q not in basis:
         return "nonbasic"
@@ -142,8 +143,8 @@ def _entry_case(state, j):
 def _warm_probe_cases(tables, monkeypatch):
     """Counts of the entry cases over every flip at degree r = order(g) < n.
 
-    Asserts that the warm start is taken exactly in the nonbasic and
-    degenerate cases, and that each warm verdict is the cold one.
+    Asserts that the warm start is taken in every case, and that each warm
+    verdict is the cold one.
     """
     starts = []
     real = _simplex._warm_start
@@ -163,7 +164,7 @@ def _warm_probe_cases(tables, monkeypatch):
             flipped = _flipped_lp(A, b, j)
             case = _entry_case(state, j)
             warm = lp.feasible(*flipped, start=(state, j))
-            assert (starts.pop() is not None) == (case != "positive")
+            assert starts.pop() is not None
             assert warm.feasible == lp.feasible(*flipped).feasible
             cases[case] += 1
     return cases
@@ -177,6 +178,45 @@ def test_warm_start_takes_every_entry_case_on_small_tables(monkeypatch):
 
 def test_warm_verdicts_match_cold_on_sampled_n4_tables(monkeypatch):
     assert len(_warm_probe_cases(_sampled_n4_tables(), monkeypatch)) == 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4], ids=["n1", "n2", "n3", "n4-sampled"])
+def test_a_search_builds_one_tableau_and_starts_every_later_lp_warm(n, monkeypatch):
+    tables = list(all_tables(n)) if n <= 3 else _sampled_n4_tables()
+    builds, statuses, warm = [], [], []
+    real_build, real_loop, real_feasible = (
+        _simplex._build_tableau, _simplex._pivot_loop_numpy, lp.feasible
+    )
+
+    def build(A, b, dtype):
+        builds.append(A.shape[1])
+        return real_build(A, b, dtype)
+
+    def loop(T, basis, dantzig, delta=1):
+        status, delta = real_loop(T, basis, dantzig, delta)
+        statuses.append(status)
+        return status, delta
+
+    def recording(A, b, start=None):
+        res = real_feasible(A, b, start)
+        warm.append((A, b, type(start[1]), res.feasible))
+        return res
+
+    monkeypatch.setattr(_simplex, "_build_tableau", build)
+    monkeypatch.setattr(_simplex, "_pivot_loop_numpy", loop)
+    monkeypatch.setattr(lp, "feasible", recording)
+    kinds = Counter()
+    for g in tables:
+        for calls in (builds, statuses, warm):
+            calls.clear()
+        high_order_search(g)
+        # the climb's degree-0 LP (theta alone) is the one tableau built
+        assert builds == [1] and _simplex.OVERFLOW not in statuses
+        for A, b, kind, ok in warm[1:]:
+            assert real_feasible(A, b).feasible == ok
+            kinds[kind] += 1
+    # lifted degrees and flipped rows both occur
+    assert set(kinds) == {slice, int}
 
 
 def test_forged_reused_ray_raises(monkeypatch):
@@ -272,7 +312,13 @@ def test_order_reduce_matches_the_climbing_reference(n, monkeypatch):
             with monkeypatch.context() as m:
                 solves = _counted_solves(m)
                 got = _reduction(order_reduce, g, Y)
-            assert got == want
+            if isinstance(want, OrderReduction):
+                # the probe's LP starts from g's, so its witness may differ
+                assert isinstance(got, OrderReduction)
+                assert replace(got, f2_witness=want.f2_witness) == want
+                assert got.f2_witness.order <= 1 and truth_table(got.f2_witness) == got.f2
+            else:
+                assert got == want
             # r + 1 LPs climb g, then at most two probe the flip
             assert solves["lp"] <= r + 3
             kinds.add("reduced" if isinstance(got, OrderReduction) else got[1].split()[0])

@@ -201,9 +201,10 @@ def test_witnesses_match_full_tableau_reference_on_every_n3_table():
             assert lp.feasible(A, b).feasible == ok
             assert _farkas_proof(A, b) == farkas_phase1_reference(A, b, "dantzig")
             verdicts.append(expected)
-        r = ptf.order(f)
-        assert r == next(d for d, p in enumerate(verdicts) if p is not None)
-        assert ptf.minimal_realization(f) == (r, verdicts[r])
+        r, p = ptf.minimal_realization(f)
+        assert r == ptf.order(f) == next(d for d, q in enumerate(verdicts) if q is not None)
+        # the climb lifts each degree from the one below, so its witness may differ
+        assert p.order <= r and ptf.truth_table(p) == f
 
 
 @pytest.mark.parametrize(
@@ -249,30 +250,35 @@ def _flip_probe(code: str, j: int):
     return res.state, ptf._flipped_lp(A, b, j)
 
 
-@pytest.mark.parametrize("code, j", [("0011", 0), ("0011", 1)], ids=["nonbasic", "degenerate"])
+@pytest.mark.parametrize("code, j", [("0011", 3), ("0011", 1)], ids=["nonbasic", "degenerate"])
 def test_forged_warm_state_raises(code, j):
     state, (A, b) = _flip_probe(code, j)
     assert _simplex._warm_start(A, b, state, j) is not None
     assert lp.feasible(A, b, start=(state, j)).feasible and lp.feasible(A, b).feasible
-    T, basis, delta = state
+    T, basis, delta, signs = state
     forged = T.copy()
     # a zero artificials' sum reads the basic y as a ray of a feasible system
     forged[-1, -1] = 0
     with pytest.raises(AssertionError, match="infeasibility ray"):
-        lp.feasible(A, b, start=((forged, basis, delta), j))
+        lp.feasible(A, b, start=((forged, basis, delta, signs), j))
 
 
 @pytest.mark.parametrize(
     "code, j, over",
-    [("00000011", 5, "column"), ("1100", 1, "degenerate pivot"), ("0011", 1, "object state")],
+    [
+        ("0111", 3, "column"),
+        ("00000110", 0, "degenerate pivot"),
+        ("0010", 0, "kept artificial"),
+        ("0011", 1, "object state"),
+    ],
 )
 def test_warm_start_past_the_guard_restarts_on_the_cold_ladder(code, j, over, monkeypatch):
     state, (A, b) = _flip_probe(code, j)
     cold = lp.feasible(A, b)
-    T, basis, delta = state
+    T, basis, delta, signs = state
     warm = _simplex._warm_start(A, b, state, j)
     if over == "object state":
-        state = (T.astype(object), basis, delta)
+        state = (T.astype(object), basis, delta, signs)
     else:
         # a guard g's tableau meets but the warm tableau passes
         guard = int(np.abs(T).max())
@@ -294,6 +300,52 @@ def test_warm_start_past_the_guard_restarts_on_the_cold_ladder(code, j, over, mo
     if over == "column":
         assert seen.pop(0) == (False, _simplex.OVERFLOW)
     assert seen and all(fresh for fresh, _ in seen)
+
+
+def _lift_probe(code: str, d: int):
+    """f's final phase-1 state at degree d-1, f's LP at d, and the columns d adds."""
+    f = parse_table(code)
+    A0, b0 = ptf._realization_lp(f, d - 1)
+    A, b = ptf._realization_lp(f, d)
+    return lp.feasible(A0, b0).state, A, b, slice(A0.shape[1] - 1, A.shape[1] - 1)
+
+
+@pytest.mark.parametrize("over", ["lifted tableau", "object state"])
+def test_lift_past_the_guard_restarts_on_the_cold_ladder(over, monkeypatch):
+    state, A, b, new = _lift_probe("1001", 2)
+    cold = lp.feasible(A, b)
+    T, basis, delta, signs = state
+    if over == "object state":
+        state = (T.astype(object), basis, delta, signs)
+    else:
+        # a guard the degree-1 tableau meets but the lifted one passes
+        guard = int(np.abs(T).max())
+        assert np.abs(_simplex._lift(A, b, state, new)[0]).max() > guard
+        monkeypatch.setattr(_simplex, "_INT64_GUARD", guard)
+    assert _simplex._lift(A, b, state, new) is None
+    seen = []
+    loop = _simplex._pivot_loop_numpy
+
+    def spy(T, basis, dantzig, delta=1):
+        seen.append(np.array_equal(T, _simplex._build_tableau(A, b, T.dtype)[0]))
+        return loop(T, basis, dantzig, delta)
+
+    monkeypatch.setattr(_simplex, "_pivot_loop_numpy", spy)
+    assert lp.feasible(A, b, start=(state, new)).feasible == cold.feasible
+    assert seen and all(seen)
+
+
+def test_forged_lifted_state_raises(monkeypatch):
+    state, A, b, new = _lift_probe("1001", 2)
+    assert lp.feasible(A, b, start=(state, new)).feasible
+    T, basis, delta, signs = _simplex._lift(A, b, state, new)
+    assert T[-1, -1] != 0
+    forged = T.copy()
+    # a zero artificials' sum reads the basic y as a ray of a feasible system
+    forged[-1, -1] = 0
+    monkeypatch.setattr(_simplex, "_lift", lambda *args: (forged, basis, delta, signs))
+    with pytest.raises(AssertionError, match="infeasibility ray"):
+        lp.feasible(A, b, start=(state, new))
 
 
 # Reversing the rows of this n=7 table's degree-3 LP (its order is 3) makes
