@@ -5,7 +5,8 @@ report under ``--json`` (byte-identical across runs for identical inputs,
 which is why the elapsed-time field only appears in the human form).
 Exit codes: 0 on success, 1 on parse errors, 2 on violated preconditions.
 argparse also exits 2 on a usage error (a missing or unknown argument or
-option, or no subcommand), and 0 after ``--help``.
+option, or no subcommand), and 0 after ``--help``.  :func:`run` can be called
+repeatedly in one process: every request after the first reuses its parser.
 
 Truth tables are given as binary strings (index 0 first) or "0x"-hex;
 input vectors are written x_1 first, so ``--at 110`` means x_1=1, x_2=1,
@@ -391,12 +392,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser of every run() in this process, built by the first
+_parser: argparse.ArgumentParser | None = None
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
+    """Serve one request and return its exit code (argparse raises SystemExit itself).
+
+    The parser is built on the first call, not at import, and reused by every
+    later call: parsing keeps no state in it.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     started = time.perf_counter()
     try:
         # a table argument is read here, so its ParseError exits 1 like any other
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         result = args.func(args)
         report = {
             "command": args.command,

@@ -358,9 +358,53 @@ def test_each_table_argument_is_parsed_once(argv, capsys, monkeypatch):
         return parse_table(text)
 
     monkeypatch.setattr(cli, "parse_table", counting_parse_table)
+    # the shared parser holds the parse_table it was built with; run() builds
+    # one that holds the counting one, and teardown restores the shared one
+    monkeypatch.setattr(cli, "_parser", None)
     assert run(argv) == 0
     assert calls == ["0110"]
     capsys.readouterr()
+
+
+def test_one_parser_serves_a_sequence_of_requests(capsys, monkeypatch):
+    monkeypatch.chdir(TESTS_DIR)
+    monkeypatch.setattr(cli, "_parser", None)
+    build_parser, builds = cli.build_parser, []
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+
+    def outcome(argv):
+        try:
+            return run(argv)
+        except SystemExit as exc:
+            return f"SystemExit({exc.code})"
+
+    xor2_golden = (TESTS_DIR / "golden" / "analyze_xor2.json").read_text(encoding="utf-8")
+    between = [
+        (["synth-mtf", "0110"], "SystemExit(2)"),  # usage error: no --k-max
+        (["analyze", "--help"], "SystemExit(0)"),
+        (["analyze", "01x1"], 1),
+        (["reduce", "0001", "--at", "11"], 2),  # a threshold table
+        (["analyze", "0110"], 0),  # human form
+        (["analyze", "0110", "--json"], 0),
+    ]
+    for (args, golden), (argv, expected) in zip(GOLDEN_CASES, [*between, (None, None)]):
+        code, out = run_json(args, capsys)
+        assert code == 0
+        assert out == (TESTS_DIR / "golden" / golden).read_text(encoding="utf-8")
+        if argv is None:
+            continue
+        assert outcome(argv) == expected
+        out = capsys.readouterr().out
+        if argv[-1] == "--json":
+            assert out == xor2_golden
+        elif argv == ["analyze", "0110"]:
+            assert out.startswith("command: analyze\n") and "elapsed_ms: " in out
+    assert builds == [1]
 
 
 @pytest.mark.parametrize(
