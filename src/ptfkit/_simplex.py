@@ -73,14 +73,37 @@ both pricing rules and the ratio test are exact integer comparisons (with
 ``delta > 0`` the scaled reduced costs order as the true ones) and the
 answer carries no rounding error.
 
-The pivot loop runs on an int64 tableau and bails out with an OVERFLOW
-status whenever an entry passes ``_INT64_GUARD`` = 2**30.  With entries at
-most 2**30, every product in a pivot is at most 2**60 and every numerator
-at most 2**61 in absolute value.  Dantzig's rule reaches bases with larger
-minors than Bland's, so the solve climbs a ladder of restarts (``_RUNGS``):
-int64 under Dantzig, then int64 under Bland, then an object-dtype tableau
-of Python ints under Bland, which cannot overflow.  A system whose entries
-already pass the guard starts on the last rung.
+The pivot loop runs on an int64 tableau.  With entries at most
+``_INT64_GUARD`` = 2**30, every product in a pivot is at most 2**60 and
+every numerator at most 2**61 in absolute value.
+
+Every entry is a minor of the phase-1 matrix.  Let ``M`` be the
+``r = n + 1`` equality rows of a new tableau: the identity of the
+artificials, then ``A^T`` over ``-b^T``, then the right-hand side
+``(0, ..., 0, 1)``.  ``delta`` and the entries of the equality rows are
+``r x r`` minors of ``M``, and a reduced cost is an ``(r+1) x (r+1)``
+minor of ``M`` bordered by the phase-1 cost row, which is 1 on the
+artificials and 0 elsewhere (the stored cost row differs from it by a
+sum of rows of ``M``, which leaves those minors unchanged).  Row signs
+change no minor's absolute value.  With ``a`` the largest ``|entry|`` of
+``A`` and ``b``, every row of ``M`` has squared norm at most
+``2 + m a^2`` and the cost row's at most ``r``, so Hadamard's inequality
+(Hadamard 1893) bounds every entry of every tableau of the solve,
+squared, by ``(2 + m a^2)^r * r``.  When that is at most
+``_INT64_GUARD ** 2`` the solve is *proved*: no entry can pass the
+guard, and the loop pivots without scanning for one.  For a
+realizability LP over ``k`` variables (``a = 1``, ``m = 2^k``) that holds
+at every ``k <= 3``, at ``k = 4`` up to degree 2, at ``k = 5`` and 6 up
+to degree 1, and at degree 0 for any ``k``.  A warm start that keeps an
+artificial is not proved (:func:`solve_free_le`).
+
+Any other int64 loop scans the tableau before each pivot and bails out
+with an OVERFLOW status when an entry passes the guard.  Dantzig's rule
+reaches bases with larger minors than Bland's, so the solve climbs a
+ladder of restarts (``_RUNGS``): int64 under Dantzig, then int64 under
+Bland, then an object-dtype tableau of Python ints under Bland, which
+cannot overflow.  A system whose entries already pass the guard starts
+on the last rung.
 """
 
 from __future__ import annotations
@@ -117,6 +140,11 @@ def _build_tableau(A, b, dtype):
     return T, list(range(r))
 
 
+def _largest_entry(A, b) -> int:
+    """The largest absolute value of an entry of ``A`` or ``b``."""
+    return max(int(np.abs(A).max(initial=0)), int(np.abs(b).max(initial=0)))
+
+
 def _leaving_row(col, rhs, basis) -> int:
     """Ratio test over Python ints, ties to the lowest-numbered basic variable.
 
@@ -145,29 +173,31 @@ def _pivot(T, p, q, delta):
     """One fraction-free pivot on ``T[p, q]``, in place; returns the new delta."""
     piv = T[p, q]
     row_p = T[p].copy()
-    col_q = T[:, q].copy()
+    # Formed before T is scaled, so the pivot column needs no copy.
+    outer = T[:, q, None] * row_p
     T *= piv
-    T -= col_q[:, None] * row_p
+    T -= outer
     T //= delta
     T[p] = row_p
     return piv
 
 
-def _pivot_loop_numpy(T, basis, dantzig: bool, delta=1):
+def _pivot_loop_numpy(T, basis, dantzig: bool, delta=1, safe=False):
     """Pivot a phase-1 tableau (int64 or object dtype) to a proof.
 
     ``T`` and ``basis`` are updated in place; ``delta`` is the determinant
     of the starting basis (1 for the artificials of a new tableau).  Prices
     by Dantzig's rule until a basis repeats when ``dantzig`` is set, else
-    by Bland's rule.  Only an int64 tableau is guarded.  Returns
-    ``(status, delta)`` with status INFEASIBLE when the artificials' sum
-    reached 0 (the basic ``y`` form a ray), FEASIBLE when no ``y`` column
-    prices out, or OVERFLOW.
+    by Bland's rule.  An int64 tableau is guarded unless ``safe`` says
+    that no entry can pass the guard (the Hadamard test of
+    :func:`solve_free_le`).  Returns ``(status, delta)`` with status
+    INFEASIBLE when the artificials' sum reached 0 (the basic ``y`` form a
+    ray), FEASIBLE when no ``y`` column prices out, or OVERFLOW.
     """
     r = T.shape[0] - 1
     last = T.shape[1] - 1
-    guarded = T.dtype != object
-    if guarded:
+    guarded = T.dtype != object and not safe
+    if T.dtype != object:
         delta = T.dtype.type(delta)
     mask = sum(1 << v for v in basis)
     seen = {mask}
@@ -310,25 +340,44 @@ def solve_free_le(A, b, start=None):
     ``b^T y < 0`` when the system is infeasible, else
     ``(True, (x, t), state)`` with Python ints, ``t > 0`` and
     ``A x <= t b``; ``state`` is the final ``(T, basis, delta, signs)``.
+
+    Before any pivot the solve tests, in Python ints, whether Hadamard's
+    bound ``(2 + m a^2)^r * r``, with ``r = n + 1`` and ``a`` the largest
+    ``|entry|`` of ``A`` and ``b``, is at most ``_INT64_GUARD ** 2``
+    (module docstring).  If so, every minor of this system is within the
+    guard, so a cold build, a lift, and a row change whose ``y_j`` was
+    nonbasic or basic at 0 pivot without the guard scan and never
+    overflow.  A start that keeps an artificial stays guarded: the kept
+    column is the old system's row, which this system's ``a`` does not
+    bound.
     """
     A = np.asarray(A)
     b = np.asarray(b)
     m, n = A.shape
     r = n + 1
+    # Hadamard's bound on every tableau entry, squared, against the guard's
+    # square; a = 1 is tried first, so a system too large for it never reads a.
+    limit = _INT64_GUARD * _INT64_GUARD
+    a = None
+    if (2 + m) ** r * r <= limit:
+        a = _largest_entry(A, b)
+    safe = a is not None and (2 + m * a * a) ** r * r <= limit
     status = OVERFLOW
     state, at = start or (None, None)
     if state is not None:
         warm = (_lift if isinstance(at, slice) else _warm_start)(A, b, state, at)
         if warm is not None:
             T, basis, delta, signs = warm
-            status, delta = _pivot_loop_numpy(T, basis, True, delta)
+            # A kept artificial's column is not one of this system's.
+            status, delta = _pivot_loop_numpy(T, basis, True, delta, safe and max(basis) < r + m)
     if status == OVERFLOW:
         signs = np.ones(r, dtype=np.int64)
-        fits = max(int(np.abs(A).max(initial=0)), int(np.abs(b).max(initial=0))) <= _INT64_GUARD
+        if a is None:
+            a = _largest_entry(A, b)
         for dtype, dantzig in _RUNGS:
-            if dtype is object or fits:
+            if dtype is object or a <= _INT64_GUARD:
                 T, basis = _build_tableau(A, b, dtype)
-                status, delta = _pivot_loop_numpy(T, basis, dantzig)
+                status, delta = _pivot_loop_numpy(T, basis, dantzig, 1, safe)
                 if status != OVERFLOW:
                     break
     state = (T, basis, delta, signs)

@@ -10,7 +10,8 @@ import pytest
 
 from ptfkit import PTF, TruthTable, lp, parse_table, ptf
 from ptfkit import _simplex
-from conftest import all_tables
+from ptfkit.highorder import high_order_search
+from conftest import all_tables, parity_table
 from oracles import farkas_phase1_reference, find_integer_point, full_tableau_solve
 
 
@@ -222,9 +223,9 @@ def test_farkas_overflow_mid_solve_restarts_on_object_dtype(A, b, monkeypatch):
     seen = []
     loop = _simplex._pivot_loop_numpy
 
-    def spy(T, basis, dantzig, delta=1):
+    def spy(T, basis, dantzig, *args, **kwargs):
         start = T.copy()
-        status, delta = loop(T, basis, dantzig, delta)
+        status, delta = loop(T, basis, dantzig, *args, **kwargs)
         seen.append((T.dtype, dantzig, status, not np.array_equal(T, start)))
         return status, delta
 
@@ -287,9 +288,9 @@ def test_warm_start_past_the_guard_restarts_on_the_cold_ladder(code, j, over, mo
     seen = []
     loop = _simplex._pivot_loop_numpy
 
-    def spy(T, basis, dantzig, delta=1):
+    def spy(T, *args, **kwargs):
         start = T.copy()
-        status, delta = loop(T, basis, dantzig, delta)
+        status, delta = loop(T, *args, **kwargs)
         seen.append((np.array_equal(start, _simplex._build_tableau(A, b, T.dtype)[0]), status))
         return status, delta
 
@@ -326,9 +327,9 @@ def test_lift_past_the_guard_restarts_on_the_cold_ladder(over, monkeypatch):
     seen = []
     loop = _simplex._pivot_loop_numpy
 
-    def spy(T, basis, dantzig, delta=1):
+    def spy(T, *args, **kwargs):
         seen.append(np.array_equal(T, _simplex._build_tableau(A, b, T.dtype)[0]))
-        return loop(T, basis, dantzig, delta)
+        return loop(T, *args, **kwargs)
 
     monkeypatch.setattr(_simplex, "_pivot_loop_numpy", spy)
     assert lp.feasible(A, b, start=(state, new)).feasible == cold.feasible
@@ -346,6 +347,159 @@ def test_forged_lifted_state_raises(monkeypatch):
     monkeypatch.setattr(_simplex, "_lift", lambda *args: (forged, basis, delta, signs))
     with pytest.raises(AssertionError, match="infeasibility ray"):
         lp.feasible(A, b, start=(state, new))
+
+
+def _hadamard_square(A, b) -> int:
+    """Hadamard's bound, squared, on every phase-1 tableau entry of ``A x <= b``."""
+    (m, n), a = A.shape, max(abs(int(v)) for v in [*A.flat, *b])
+    return (2 + m * a * a) ** (n + 1) * (n + 1)
+
+
+def _proved_solves(run, prove=True):
+    """The proofs of every solve in ``run()``, with each proved solve checked.
+
+    A loop that :func:`_simplex.solve_free_le` proves overflow-free must
+    not scan for an overflow, and its tableau is checked against
+    Hadamard's bound and the int64 guard at the start and after every
+    pivot.  With ``prove`` unset every loop runs guarded instead.  Returns
+    the ``(feasible, proof)`` of every solve, the number of proved loops
+    and their largest entry.
+    """
+    real_solve, real_loop, real_pivot, real_overflows = (
+        _simplex.solve_free_le, _simplex._pivot_loop_numpy, _simplex._pivot, _simplex._overflows
+    )
+    proofs, bound, checking = [], 0, False
+    proved = largest = 0
+
+    def check(T):
+        nonlocal largest
+        top = int(np.abs(T).max())
+        assert top * top <= bound and top <= _simplex._INT64_GUARD
+        largest = max(largest, top)
+
+    def solve(A, b, start=None):
+        nonlocal bound
+        bound = _hadamard_square(np.asarray(A), np.asarray(b))
+        res = real_solve(A, b, start)
+        proofs.append(res[:2])
+        return res
+
+    def loop(T, basis, dantzig, delta=1, safe=False):
+        nonlocal checking, proved
+        if safe:
+            proved += 1
+            check(T)
+        checking = safe and prove
+        try:
+            return real_loop(T, basis, dantzig, delta, safe and prove)
+        finally:
+            checking = False
+
+    def pivot(T, *args):
+        delta = real_pivot(T, *args)
+        if checking:
+            check(T)
+        return delta
+
+    def overflows(T):
+        assert not checking, "a proved loop scanned for an overflow"
+        return real_overflows(T)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_simplex, "solve_free_le", solve)
+        mp.setattr(_simplex, "_pivot_loop_numpy", loop)
+        mp.setattr(_simplex, "_pivot", pivot)
+        mp.setattr(_simplex, "_overflows", overflows)
+        run()
+    return proofs, proved, largest
+
+
+def _small_lps():
+    """The LPs of every n <= 3 table at every degree, and of 300 seeded n = 4 tables."""
+    for n in (1, 2, 3):
+        for f in all_tables(n):
+            for d in range(n + 1):
+                ptf.realize_at_degree(f, d)
+            high_order_search(f)
+    rng = random.Random(25)
+    for _ in range(300):
+        f = TruthTable(4, tuple(rng.getrandbits(1) for _ in range(16)))
+        ptf.is_threshold(f)
+        high_order_search(f)
+
+
+def test_proved_solves_stay_within_hadamards_bound_and_pivot_as_guarded():
+    # every entry of a fraction-free tableau is a minor of the phase-1
+    # matrix, so a solve whose Hadamard bound meets the guard can skip the scan
+    proofs, proved, largest = _proved_solves(_small_lps)
+    # 6,996 of 11,728 solves are proved (the others keep an artificial, or
+    # are n = 4 LPs past degree 2), and their largest entry is 16
+    assert len(proofs) > 11_000 and proved > 6_000 and 0 < largest < 1 << 10
+    # the scan never fires there, so the guarded solves make the same pivots
+    assert _proved_solves(_small_lps, prove=False)[0] == proofs
+
+
+def _first_loop_proved(A, b, start=None):
+    """Whether the first pivot loop of ``lp.feasible(A, b, start)`` runs unguarded."""
+    seen = []
+    loop = _simplex._pivot_loop_numpy
+
+    def spy(T, basis, dantzig, delta=1, safe=False):
+        seen.append(safe)
+        return loop(T, basis, dantzig, delta, safe)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_simplex, "_pivot_loop_numpy", spy)
+        lp.feasible(A, b, start)
+    return seen[0]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_realizability_lps_proved_overflow_free(n):
+    # (2 + 2^n) ** r * r <= 2**60 with r = (number of monomials) + 2
+    for d in range(n + 1):
+        A, b = ptf._realization_lp(parity_table(n), d)
+        covered = n <= 3 or d == 0 or (n == 4 and d <= 2) or (n <= 6 and d <= 1)
+        assert _first_loop_proved(A, b) == covered, (n, d)
+
+
+def test_systems_past_hadamards_bound_stay_guarded(monkeypatch):
+    # the n = 4 degree-3 realizability LP: 18**16 * 16 > 2**60
+    A, b = ptf._realization_lp(parity_table(4), 3)
+    assert (2 + 16) ** 16 * 16 > _simplex._INT64_GUARD**2
+    assert not _first_loop_proved(A, b)
+    # an entry of 2**20 passes the bound that a = 1 meets
+    A, b = np.array([[1 << 20, 1], [-1, 0], [0, -1]]), np.array([1, 0, 0])
+    assert not _first_loop_proved(A, b)
+    assert _first_loop_proved(A.clip(max=1), b)
+    # a kept artificial's column is the old system's row, which a does not bound
+    state, (A, b) = _flip_probe("0010", 0)
+    T, basis, _, _ = _simplex._warm_start(A, b, state, 0)
+    assert max(basis) >= T.shape[1] - 1
+    assert _first_loop_proved(A, b) and not _first_loop_proved(A, b, (state, 0))
+    # a guard patched down, as the ladder tests do, leaves every system guarded
+    A, b = ptf._realization_lp(parity_table(2), 1)
+    assert _first_loop_proved(A, b)
+    monkeypatch.setattr(_simplex, "_INT64_GUARD", 4)
+    assert not _first_loop_proved(A, b)
+
+
+def test_order_climbs_the_ladder_on_an_n8_table(monkeypatch):
+    # the real guard trips here: the lifts to degrees 3 and 4 pass it, and
+    # so do their cold Dantzig restarts, which the int64 Bland rung finishes
+    code = random.Random(1).getrandbits(256)
+    f = TruthTable(8, tuple((code >> i) & 1 for i in range(256)))
+    statuses = []
+    loop = _simplex._pivot_loop_numpy
+
+    def spy(*args, **kwargs):
+        status, delta = loop(*args, **kwargs)
+        statuses.append(status)
+        return status, delta
+
+    monkeypatch.setattr(_simplex, "_pivot_loop_numpy", spy)
+    assert ptf.order(f) == 4
+    assert _simplex.OVERFLOW in statuses
 
 
 # Reversing the rows of this n=7 table's degree-3 LP (its order is 3) makes
