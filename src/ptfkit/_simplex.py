@@ -14,10 +14,10 @@ monomials) + 1 unknowns, so this tableau stays small.
 
 The artificials are numbered before the ``y`` columns and kept in the
 tableau; only ``y`` columns enter, so an artificial that left never
-re-enters, except once at a warm start (below).  Dantzig's rule (Dantzig
-1963) enters the ``y`` column with the most negative reduced cost, lowest
-index on ties, and the ratio test breaks ties by the lowest-numbered
-basic variable, so artificials leave first.  Both choices depend only on the set of basic variables, so a basis
+re-enters.  Dantzig's rule (Dantzig 1963) enters the ``y`` column with
+the most negative reduced cost, lowest index on ties, and the ratio test
+breaks ties by the lowest-numbered basic variable, so artificials leave
+first.  Both choices depend only on the set of basic variables, so a basis
 seen twice in one solve proves a cycle.  The loop keeps that set as an int
 bitmask and switches to Bland's rule (Bland 1977: the lowest-numbered
 ``y`` with a negative reduced cost) at the first repeat; Bland's rule
@@ -26,21 +26,20 @@ terminates from any feasible basis.
 Warm start
 ----------
 After a system's first LP, the next one starts from the final state
-``(T, basis, delta, signs)`` of a solve already done.  ``signs`` holds one
-+-1 per equality row: the row is multiplied by it, which keeps every
-artificial's value nonnegative (a cold build has all +1).  The
-artificial block of ``T`` is ``delta * B^-1``, so every new column and its
-reduced cost are formed exactly from it.  Two kinds of start:
+``(T, basis, delta, signs, a)`` of a solve already done.  ``signs`` holds
+one +-1 per equality row: the row is multiplied by it, which keeps every
+artificial's value nonnegative (a cold build has all +1).  ``a`` is that
+system's largest ``|entry|`` or None, for the proof below.  The
+artificial block of ``T`` is ``delta * B^-1``, so every new column and
+its reduced cost are formed exactly from it.  Two kinds of start:
 
 * **A changed row** ``j`` changes the column of ``y_j`` alone
-  (:func:`_warm_start`).  The old basis stays feasible when ``y_j`` is
-  nonbasic.  When ``y_j`` is basic at 0, one degenerate pivot first swaps
-  it for a nonbasic artificial, the one artificial that re-enters.  When
-  ``y_j`` is basic and positive, its basis slot keeps the old column as a
-  *kept artificial*, numbered ``r + m + p`` in row ``p`` (past every
-  ``y``, and distinct from any other kept artificial): it costs 1 like
-  the others, has no column in ``T``, is never priced, and so never
-  re-enters.
+  (:func:`_warm_start`).  A basic ``y_j``, at 0 or positive, leaves its
+  old column in its basis slot as a *kept artificial*, numbered
+  ``r + m + p`` in row ``p`` (past every ``y``, and distinct from any
+  other kept artificial): it costs 1 like the others, has no column in
+  ``T``, is never priced, and so never re-enters.  The old basis stays
+  feasible.
 * **Inserted columns** add equality rows (:func:`_lift`; Chvatal,
   *Linear Programming*, 1983).  Each new row gets its own basic
   artificial, and its sign makes that artificial's value
@@ -79,23 +78,25 @@ every numerator at most 2**61 in absolute value.
 
 Every entry is a minor of the phase-1 matrix.  Let ``M`` be the
 ``r = n + 1`` equality rows of a new tableau: the identity of the
-artificials, then ``A^T`` over ``-b^T``, then the right-hand side
-``(0, ..., 0, 1)``.  ``delta`` and the entries of the equality rows are
-``r x r`` minors of ``M``, and a reduced cost is an ``(r+1) x (r+1)``
-minor of ``M`` bordered by the phase-1 cost row, which is 1 on the
-artificials and 0 elsewhere (the stored cost row differs from it by a
-sum of rows of ``M``, which leaves those minors unchanged).  Row signs
-change no minor's absolute value.  With ``a`` the largest ``|entry|`` of
-``A`` and ``b``, every row of ``M`` has squared norm at most
-``2 + m a^2`` and the cost row's at most ``r``, so Hadamard's inequality
-(Hadamard 1893) bounds every entry of every tableau of the solve,
-squared, by ``(2 + m a^2)^r * r``.  When that is at most
+artificials, then ``A^T`` over ``-b^T``, then the column of a kept
+artificial (a start holds at most one: a state whose basis still holds
+one has ``a = None``), then the right-hand side ``(0, ..., 0, 1)``.
+``delta`` and the entries of the equality rows are ``r x r`` minors of
+``M``, and a reduced cost is an ``(r+1) x (r+1)`` minor of ``M``
+bordered by the phase-1 cost row, which is 1 on the artificials, the
+kept one included, and 0 elsewhere (the stored cost row differs from it
+by a sum of rows of ``M``, which leaves those minors unchanged).  Row
+signs change no minor's absolute value.  With ``a`` the largest
+``|entry|`` of ``A``, ``b`` and the start's system (which holds the kept
+column), every row of ``M`` has squared norm at most ``2 + (m + 1) a^2``
+and the cost row's at most ``r + 1``, so Hadamard's inequality (Hadamard
+1893) bounds every entry of every tableau of the solve, squared, by
+``(2 + (m + 1) a^2)^r * (r + 1)``.  When that is at most
 ``_INT64_GUARD ** 2`` the solve is *proved*: no entry can pass the
 guard, and the loop pivots without scanning for one.  For a
 realizability LP over ``k`` variables (``a = 1``, ``m = 2^k``) that holds
 at every ``k <= 3``, at ``k = 4`` up to degree 2, at ``k = 5`` and 6 up
-to degree 1, and at degree 0 for any ``k``.  A warm start that keeps an
-artificial is not proved (:func:`solve_free_le`).
+to degree 1, and at degree 0 for any ``k``.
 
 Any other int64 loop scans the tableau before each pivot and bails out
 with an OVERFLOW status when an entry passes the guard.  Dantzig's rule
@@ -169,6 +170,16 @@ def _overflows(T) -> bool:
     return T.max() > _INT64_GUARD or T.min() < -_INT64_GUARD
 
 
+def _proved(m, r, a) -> bool:
+    """Whether Hadamard's bound keeps every tableau entry within the guard.
+
+    ``m`` and ``r`` are the system's rows and equality rows, and ``a``
+    bounds every entry of the system and of a kept column (module
+    docstring); a None ``a`` proves nothing.
+    """
+    return a is not None and (2 + (m + 1) * a * a) ** r * (r + 1) <= _INT64_GUARD * _INT64_GUARD
+
+
 def _pivot(T, p, q, delta):
     """One fraction-free pivot on ``T[p, q]``, in place; returns the new delta."""
     piv = T[p, q]
@@ -234,45 +245,32 @@ def _pivot_loop_numpy(T, basis, dantzig: bool, delta=1, safe=False):
 def _warm_start(A, b, state, j):
     """A final phase-1 state made a start for ``A x <= b``, or None for a cold solve.
 
-    ``state = (T, basis, delta, signs)`` ended the solve of a system that
-    differs from ``A x <= b`` in row ``j`` alone, so only the column of
-    ``y_j`` changes: it is ``delta * B^-1 c`` with the signed
+    ``state = (T, basis, delta, signs, a)`` ended the solve of a system
+    that differs from ``A x <= b`` in row ``j`` alone, so only the column
+    of ``y_j`` changes: it is ``delta * B^-1 c`` with the signed
     ``c = signs * (A[j], -b[j])``, read off the artificial block
     ``delta * B^-1``, and its reduced cost follows from the cost row the
-    same way.  A nonbasic ``y_j`` leaves the basis feasible.  A ``y_j``
-    basic at 0 is swapped for an artificial by one degenerate pivot.  A
-    positive basic ``y_j`` in row ``p`` leaves its old column in the basis
-    as the kept artificial ``r + m + p``, whose cost 1 moves its row into
-    the cost row.  An object-dtype state, a row too large for an int64
-    product and a start that passes the guard all return None.
-    ``state`` is not modified.
+    same way.  A nonbasic ``y_j`` leaves the basis feasible.  A basic
+    ``y_j`` in row ``p``, at 0 or positive, leaves its old column in the
+    basis as the kept artificial ``r + m + p``, whose cost 1 moves its row
+    into the cost row.  Returns ``(T, basis, delta, signs)``; an
+    object-dtype state and a row too large for an int64 product return
+    None.  ``state`` is not modified.
     """
-    T, basis, delta, signs = state
+    T, basis, delta, signs, _ = state
     r = T.shape[0] - 1
     m = T.shape[1] - r - 1
     q = r + j
     c = signs * np.append(A[j], -b[j])
-    # With every entry of T within the guard, the products below stay in int64.
-    if T.dtype == object or int(np.abs(c).sum()) * _INT64_GUARD >= 1 << 62:
+    # With every entry of T within the guard, and so the cost row within twice
+    # it, the products below stay in int64.
+    if T.dtype == object or int(np.abs(c).sum()) * _INT64_GUARD >= 1 << 61:
         return None
     T, basis = T.copy(), list(basis)
     if q in basis:
         p = basis.index(q)
-        if T[p, -1] != 0:
-            basis[p] = r + m + p
-            T[r] -= T[p]
-        else:
-            # Row p of delta * B^-1 is nonzero, and a basic artificial's column
-            # is zero off its own row, so k is a nonbasic artificial.
-            k = int(np.flatnonzero(T[p, :r])[0])
-            delta = _pivot(T, p, k, delta)
-            basis[p] = k
-            if delta < 0:
-                np.negative(T, out=T)
-                delta = -delta
-        # Checked before the product below, which would wrap silently.
-        if _overflows(T):
-            return None
+        basis[p] = r + m + p
+        T[r] -= T[p]
     T[:r, q] = T[:r, :r] @ c
     T[r, q] = T[r, :r] @ c - delta * c.sum()
     return T, basis, delta, signs
@@ -288,11 +286,11 @@ def _lift(A, b, state, new):
     ``-sign(A[:, i]^T y)`` (+1 on a tie).  The old rows keep their entries,
     their artificials and ``y`` renumbered; a new row is its signed
     equality times ``delta`` less the old rows that cancel its basic ``y``
-    entries.  An object-dtype state, a kept artificial (its column is not
-    stored), a product past int64 and a lifted tableau past the guard all
+    entries.  Returns ``(T, basis, delta, signs)``; an object-dtype state,
+    a kept artificial (its column is not stored) and a product past int64
     return None.  ``state`` is not modified.
     """
-    T, basis, delta, signs = state
+    T, basis, delta, signs, _ = state
     r0 = T.shape[0] - 1
     m = A.shape[0]
     if (
@@ -320,10 +318,9 @@ def _lift(A, b, state, new):
     L[r0:r, r : r + m] += delta * s[:, None] * cols.T
     basis = [v + k if v >= new.start else v for v in basis] + list(range(new.start, new.start + k))
     L[r, :r] = delta
+    # The cost row can wrap only when a row it sums passes the guard, which a
+    # guarded loop finds before its first pivot and a proved one never holds.
     L[r] -= L[[p for p, v in enumerate(basis) if v < r]].sum(axis=0)
-    # The cost row can wrap only when a row it sums passes the guard.
-    if _overflows(L):
-        return None
     return L, basis, delta, np.insert(signs, new.start, s)
 
 
@@ -339,37 +336,37 @@ def solve_free_le(A, b, start=None):
     ``(False, y, state)`` with Python-int ``y >= 0``, ``A^T y = 0`` and
     ``b^T y < 0`` when the system is infeasible, else
     ``(True, (x, t), state)`` with Python ints, ``t > 0`` and
-    ``A x <= t b``; ``state`` is the final ``(T, basis, delta, signs)``.
+    ``A x <= t b``; ``state`` is the final ``(T, basis, delta, signs, a)``.
 
     Before any pivot the solve tests, in Python ints, whether Hadamard's
-    bound ``(2 + m a^2)^r * r``, with ``r = n + 1`` and ``a`` the largest
-    ``|entry|`` of ``A`` and ``b``, is at most ``_INT64_GUARD ** 2``
-    (module docstring).  If so, every minor of this system is within the
-    guard, so a cold build, a lift, and a row change whose ``y_j`` was
-    nonbasic or basic at 0 pivot without the guard scan and never
-    overflow.  A start that keeps an artificial stays guarded: the kept
-    column is the old system's row, which this system's ``a`` does not
-    bound.
+    bound ``(2 + (m + 1) a^2)^r * (r + 1)``, with ``r = n + 1`` and ``a``
+    the largest ``|entry|`` of ``A``, ``b`` and the start state's ``a``,
+    is at most ``_INT64_GUARD ** 2`` (module docstring).  If so, every
+    tableau of a cold build, a lift or a row change is within the guard,
+    so the loop pivots without the guard scan and never overflows.  The
+    state's ``a`` is this system's, or None where the solve never read it
+    (the test fails for ``a = 1``) or where a kept artificial is left in
+    the final basis (its column is another system's row); a start from a
+    None ``a`` stays guarded.
     """
     A = np.asarray(A)
     b = np.asarray(b)
     m, n = A.shape
     r = n + 1
-    # Hadamard's bound on every tableau entry, squared, against the guard's
-    # square; a = 1 is tried first, so a system too large for it never reads a.
-    limit = _INT64_GUARD * _INT64_GUARD
-    a = None
-    if (2 + m) ** r * r <= limit:
-        a = _largest_entry(A, b)
-    safe = a is not None and (2 + m * a * a) ** r * r <= limit
+    # a = 1 is tried first, so a system too large for it never reads a.
+    a = _largest_entry(A, b) if _proved(m, r, 1) else None
     status = OVERFLOW
     state, at = start or (None, None)
     if state is not None:
         warm = (_lift if isinstance(at, slice) else _warm_start)(A, b, state, at)
         if warm is not None:
             T, basis, delta, signs = warm
-            # A kept artificial's column is not one of this system's.
-            status, delta = _pivot_loop_numpy(T, basis, True, delta, safe and max(basis) < r + m)
+            # A kept column is a row of the start state's system.
+            top = None if a is None or state[4] is None else max(a, state[4])
+            status, delta = _pivot_loop_numpy(T, basis, True, delta, _proved(m, r, top))
+            # A kept artificial left in the basis holds a row that a does not bound.
+            if max(basis) >= r + m:
+                a = None
     if status == OVERFLOW:
         signs = np.ones(r, dtype=np.int64)
         if a is None:
@@ -377,10 +374,10 @@ def solve_free_le(A, b, start=None):
         for dtype, dantzig in _RUNGS:
             if dtype is object or a <= _INT64_GUARD:
                 T, basis = _build_tableau(A, b, dtype)
-                status, delta = _pivot_loop_numpy(T, basis, dantzig, 1, safe)
+                status, delta = _pivot_loop_numpy(T, basis, dantzig, 1, _proved(m, r, a))
                 if status != OVERFLOW:
                     break
-    state = (T, basis, delta, signs)
+    state = (T, basis, delta, signs, a)
     if status == INFEASIBLE:
         y = [0] * m
         for v, value in zip(basis, T[:r, -1].tolist()):

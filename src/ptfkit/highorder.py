@@ -61,7 +61,8 @@ def _prober(g: TruthTable):
 
     Each solve starts from the final state of g's own solve at that
     degree, which the climb already holds; at r-1, ``y_j`` is basic and
-    positive there, so it stays in the basis as the kept artificial.
+    positive there, so it stays in the basis as the kept artificial, and
+    at r a basic ``y_j``, at 0 or positive, is kept the same way.
     """
     if g.n > MAX_PROBE_VARS:
         raise PreconditionError(f"high-order probes capped at n <= {MAX_PROBE_VARS}, got {g.n}")

@@ -34,9 +34,11 @@ class FeasibilityResult(_Verdict):
     """A verdict and its re-checked proof: the multipliers ``(x, t)`` or a Farkas ray.
 
     It unpacks as ``ok, proof``.  The attribute ``state`` is the solver's
-    final phase-1 state ``(T, basis, delta, signs)``, a warm start for a
-    system that differs in one row or by inserted columns (None for a
-    system without rows).
+    final phase-1 state ``(T, basis, delta, signs, a)``: the tableau, its
+    basic variables, the basis determinant, one sign per Farkas row and
+    the system's largest ``|entry|`` (None where the solver's overflow
+    proof cannot use it).  It is a warm start for a system that differs
+    in one row or by inserted columns (None for a system without rows).
     """
 
     def __new__(cls, feasible, proof, state=None):
@@ -56,8 +58,9 @@ def feasible(A, b, start=None) -> FeasibilityResult:
     ``start = (state, j)`` warm-starts from the ``state`` of a result for
     a system that differs from this one in row ``j`` alone, and
     ``start = (state, cols)`` from one that lacks only the columns of the
-    slice ``cols``; a None state starts cold.  The proof is checked
-    against this system all the same.
+    slice ``cols``; a None state starts cold.  The state is the result's
+    ``(T, basis, delta, signs, a)`` (:class:`FeasibilityResult`).  The
+    proof is checked against this system all the same.
     """
     A = np.asarray(A)
     b = np.asarray(b)

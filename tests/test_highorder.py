@@ -133,7 +133,7 @@ def test_a_probe_solves_at_most_two_lps(monkeypatch):
 
 def _entry_case(state, j):
     """How g's final basis meets the column of ``y_j`` that a flip at j replaces."""
-    T, basis, _, _ = state
+    T, basis, _, _, _ = state
     q = T.shape[0] - 1 + j
     if q not in basis:
         return "nonbasic"

@@ -256,19 +256,18 @@ def test_forged_warm_state_raises(code, j):
     state, (A, b) = _flip_probe(code, j)
     assert _simplex._warm_start(A, b, state, j) is not None
     assert lp.feasible(A, b, start=(state, j)).feasible and lp.feasible(A, b).feasible
-    T, basis, delta, signs = state
+    T, basis, delta, signs, a = state
     forged = T.copy()
     # a zero artificials' sum reads the basic y as a ray of a feasible system
     forged[-1, -1] = 0
     with pytest.raises(AssertionError, match="infeasibility ray"):
-        lp.feasible(A, b, start=((forged, basis, delta, signs), j))
+        lp.feasible(A, b, start=((forged, basis, delta, signs, a), j))
 
 
 @pytest.mark.parametrize(
     "code, j, over",
     [
         ("0111", 3, "column"),
-        ("00000110", 0, "degenerate pivot"),
         ("0010", 0, "kept artificial"),
         ("0011", 1, "object state"),
     ],
@@ -276,10 +275,10 @@ def test_forged_warm_state_raises(code, j):
 def test_warm_start_past_the_guard_restarts_on_the_cold_ladder(code, j, over, monkeypatch):
     state, (A, b) = _flip_probe(code, j)
     cold = lp.feasible(A, b)
-    T, basis, delta, signs = state
+    T, basis, delta, signs, a = state
     warm = _simplex._warm_start(A, b, state, j)
     if over == "object state":
-        state = (T.astype(object), basis, delta, signs)
+        state = (T.astype(object), basis, delta, signs, a)
     else:
         # a guard g's tableau meets but the warm tableau passes
         guard = int(np.abs(T).max())
@@ -291,16 +290,18 @@ def test_warm_start_past_the_guard_restarts_on_the_cold_ladder(code, j, over, mo
     def spy(T, *args, **kwargs):
         start = T.copy()
         status, delta = loop(T, *args, **kwargs)
-        seen.append((np.array_equal(start, _simplex._build_tableau(A, b, T.dtype)[0]), status))
+        fresh = np.array_equal(start, _simplex._build_tableau(A, b, T.dtype)[0])
+        seen.append((fresh, status, np.array_equal(start, T)))
         return status, delta
 
     monkeypatch.setattr(_simplex, "_pivot_loop_numpy", spy)
     res = lp.feasible(A, b, start=(state, j))
     assert res.feasible == cold.feasible
-    # only a new column past the guard reaches the loop, which stops at once
-    if over == "column":
-        assert seen.pop(0) == (False, _simplex.OVERFLOW)
-    assert seen and all(fresh for fresh, _ in seen)
+    # a warm tableau past the guard reaches the loop, which stops before any
+    # pivot; an object state is refused; then a fresh cold build runs
+    if over != "object state":
+        assert seen.pop(0) == (False, _simplex.OVERFLOW, True)
+    assert seen and all(fresh for fresh, _, _ in seen)
 
 
 def _lift_probe(code: str, d: int):
@@ -315,25 +316,32 @@ def _lift_probe(code: str, d: int):
 def test_lift_past_the_guard_restarts_on_the_cold_ladder(over, monkeypatch):
     state, A, b, new = _lift_probe("1001", 2)
     cold = lp.feasible(A, b)
-    T, basis, delta, signs = state
+    T, basis, delta, signs, a = state
     if over == "object state":
-        state = (T.astype(object), basis, delta, signs)
+        state = (T.astype(object), basis, delta, signs, a)
+        assert _simplex._lift(A, b, state, new) is None
     else:
         # a guard the degree-1 tableau meets but the lifted one passes
         guard = int(np.abs(T).max())
         assert np.abs(_simplex._lift(A, b, state, new)[0]).max() > guard
         monkeypatch.setattr(_simplex, "_INT64_GUARD", guard)
-    assert _simplex._lift(A, b, state, new) is None
     seen = []
     loop = _simplex._pivot_loop_numpy
 
     def spy(T, *args, **kwargs):
-        seen.append(np.array_equal(T, _simplex._build_tableau(A, b, T.dtype)[0]))
-        return loop(T, *args, **kwargs)
+        start = T.copy()
+        status, delta = loop(T, *args, **kwargs)
+        fresh = np.array_equal(start, _simplex._build_tableau(A, b, T.dtype)[0])
+        seen.append((fresh, status, np.array_equal(start, T)))
+        return status, delta
 
     monkeypatch.setattr(_simplex, "_pivot_loop_numpy", spy)
     assert lp.feasible(A, b, start=(state, new)).feasible == cold.feasible
-    assert seen and all(seen)
+    # the lifted tableau reaches the loop, which stops before any pivot;
+    # an object state is refused; then a fresh cold build runs
+    if over == "lifted tableau":
+        assert seen.pop(0) == (False, _simplex.OVERFLOW, True)
+    assert seen and all(fresh for fresh, _, _ in seen)
 
 
 def test_forged_lifted_state_raises(monkeypatch):
@@ -349,10 +357,17 @@ def test_forged_lifted_state_raises(monkeypatch):
         lp.feasible(A, b, start=(state, new))
 
 
-def _hadamard_square(A, b) -> int:
-    """Hadamard's bound, squared, on every phase-1 tableau entry of ``A x <= b``."""
+def _hadamard_square(A, b, start=None) -> int:
+    """Hadamard's bound, squared, on every phase-1 tableau entry of ``A x <= b``.
+
+    It counts one column more than ``A`` has and one more cost entry, for
+    a kept artificial, and ``a`` is the largest entry of ``A``, ``b`` and
+    the start state's ``a``.
+    """
     (m, n), a = A.shape, max(abs(int(v)) for v in [*A.flat, *b])
-    return (2 + m * a * a) ** (n + 1) * (n + 1)
+    if start and start[0] is not None:
+        a = max(a, start[0][4] or 0)
+    return (2 + (m + 1) * a * a) ** (n + 1) * (n + 2)
 
 
 def _proved_solves(run, prove=True):
@@ -379,7 +394,7 @@ def _proved_solves(run, prove=True):
 
     def solve(A, b, start=None):
         nonlocal bound
-        bound = _hadamard_square(np.asarray(A), np.asarray(b))
+        bound = _hadamard_square(np.asarray(A), np.asarray(b), start)
         res = real_solve(A, b, start)
         proofs.append(res[:2])
         return res
@@ -432,9 +447,9 @@ def test_proved_solves_stay_within_hadamards_bound_and_pivot_as_guarded():
     # every entry of a fraction-free tableau is a minor of the phase-1
     # matrix, so a solve whose Hadamard bound meets the guard can skip the scan
     proofs, proved, largest = _proved_solves(_small_lps)
-    # 6,996 of 11,728 solves are proved (the others keep an artificial, or
-    # are n = 4 LPs past degree 2), and their largest entry is 16
-    assert len(proofs) > 11_000 and proved > 6_000 and 0 < largest < 1 << 10
+    # 11,330 of 11,728 solves are proved (the others are n = 4 LPs past
+    # degree 2), and their largest entry is 18
+    assert len(proofs) > 11_000 and proved > 11_000 and 0 < largest < 1 << 10
     # the scan never fires there, so the guarded solves make the same pivots
     assert _proved_solves(_small_lps, prove=False)[0] == proofs
 
@@ -472,11 +487,28 @@ def test_systems_past_hadamards_bound_stay_guarded(monkeypatch):
     A, b = np.array([[1 << 20, 1], [-1, 0], [0, -1]]), np.array([1, 0, 0])
     assert not _first_loop_proved(A, b)
     assert _first_loop_proved(A.clip(max=1), b)
-    # a kept artificial's column is the old system's row, which a does not bound
+    # a kept artificial's column is the old system's row, which the start
+    # state's a bounds
     state, (A, b) = _flip_probe("0010", 0)
     T, basis, _, _ = _simplex._warm_start(A, b, state, 0)
     assert max(basis) >= T.shape[1] - 1
-    assert _first_loop_proved(A, b) and not _first_loop_proved(A, b, (state, 0))
+    assert _first_loop_proved(A, b) and _first_loop_proved(A, b, (state, 0))
+    # x <= -1, written with a 2**20 entry in row 0, and x >= 1: the kept
+    # column of that row stays guarded, though the system with row 0 changed
+    # to x <= 2 passes alone
+    A0, b0 = np.array([[1 << 20], [-1]]), np.array([-(1 << 20), -1])
+    old = lp.feasible(A0, b0)
+    assert not old.feasible and old.state[4] == 1 << 20
+    A, b = np.array([[1], [-1]]), np.array([2, -1])
+    T, basis, _, _ = _simplex._warm_start(A, b, old.state, 0)
+    assert max(basis) >= T.shape[1] - 1
+    assert _first_loop_proved(A, b) and not _first_loop_proved(A, b, (old.state, 0))
+    # that solve ends with the kept artificial still basic, so its state has
+    # no a, and a start from it, which would hold two, stays guarded
+    kept = lp.feasible(A, b, start=(old.state, 0)).state
+    assert max(kept[1]) >= kept[0].shape[1] - 1 and kept[4] is None
+    A1 = np.array([[1], [-2]])
+    assert _first_loop_proved(A1, b) and not _first_loop_proved(A1, b, (kept, 1))
     # a guard patched down, as the ladder tests do, leaves every system guarded
     A, b = ptf._realization_lp(parity_table(2), 1)
     assert _first_loop_proved(A, b)

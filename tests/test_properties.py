@@ -61,6 +61,24 @@ def test_decide_primal_and_reference_agree(system):
 
 
 @DERANDOMIZED
+@given(small_systems(), st.data())
+def test_warm_start_after_any_row_change_matches_cold(system, data):
+    # the changed row, with entries up to 2**20, sits in the solved system
+    # or in the one started from its state
+    A, b, nvars = system
+    j = data.draw(st.integers(0, len(b) - 1))
+    big = st.integers(-(1 << 20), 1 << 20)
+    row = data.draw(st.lists(big, min_size=nvars + 1, max_size=nvars + 1))
+    changed_A, changed_b = A.copy(), b.copy()
+    changed_A[j], changed_b[j] = row[:-1], row[-1]
+    if data.draw(st.booleans()):
+        (A, b), (changed_A, changed_b) = (changed_A, changed_b), (A, b)
+    state = lp.feasible(A, b).state
+    warm = lp.feasible(changed_A, changed_b, start=(state, j))
+    assert warm.feasible == lp.feasible(changed_A, changed_b).feasible
+
+
+@DERANDOMIZED
 @given(st.sampled_from(["bin", "hex"]), st.data())
 def test_table_text_round_trip(style, data):
     # the hex form needs at least four entries
