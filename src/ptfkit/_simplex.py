@@ -26,20 +26,22 @@ terminates from any feasible basis.
 Warm start
 ----------
 After a system's first LP, the next one starts from the final state
-``(T, basis, delta, signs, a)`` of a solve already done.  ``signs`` holds
-one +-1 per equality row: the row is multiplied by it, which keeps every
-artificial's value nonnegative (a cold build has all +1).  ``a`` is that
-system's largest ``|entry|`` or None, for the proof below.  The
-artificial block of ``T`` is ``delta * B^-1``, so every new column and
-its reduced cost are formed exactly from it.  Two kinds of start:
+``(T, basis, delta, signs, proved)`` of a solve already done.  ``signs``
+holds one +-1 per equality row: the row is multiplied by it, which keeps
+every artificial's value nonnegative (a cold build has all +1).
+``proved`` is that system's verdict under the proof below.  A solve
+that ends on an object-dtype tableau, or with a kept artificial still
+basic, returns no state, so every start is an int64 tableau whose basis
+holds no kept artificial.  The artificial block of ``T`` is
+``delta * B^-1``, so every new column and its reduced cost are formed
+exactly from it.  Two kinds of start:
 
 * **A changed row** ``j`` changes the column of ``y_j`` alone
   (:func:`_warm_start`).  A basic ``y_j``, at 0 or positive, leaves its
-  old column in its basis slot as a *kept artificial*, numbered
-  ``r + m + p`` in row ``p`` (past every ``y``, and distinct from any
-  other kept artificial): it costs 1 like the others, has no column in
-  ``T``, is never priced, and so never re-enters.  The old basis stays
-  feasible.
+  old column in its basis slot as the *kept artificial*, numbered
+  ``r + m`` (past every ``y``): it costs 1 like the others, has no
+  column in ``T``, is never priced, and so never re-enters.  The old
+  basis stays feasible.
 * **Inserted columns** add equality rows (:func:`_lift`; Chvatal,
   *Linear Programming*, 1983).  Each new row gets its own basic
   artificial, and its sign makes that artificial's value
@@ -78,9 +80,8 @@ every numerator at most 2**61 in absolute value.
 
 Every entry is a minor of the phase-1 matrix.  Let ``M`` be the
 ``r = n + 1`` equality rows of a new tableau: the identity of the
-artificials, then ``A^T`` over ``-b^T``, then the column of a kept
-artificial (a start holds at most one: a state whose basis still holds
-one has ``a = None``), then the right-hand side ``(0, ..., 0, 1)``.
+artificials, then ``A^T`` over ``-b^T``, then the column of the kept
+artificial if there is one, then the right-hand side ``(0, ..., 0, 1)``.
 ``delta`` and the entries of the equality rows are ``r x r`` minors of
 ``M``, and a reduced cost is an ``(r+1) x (r+1)`` minor of ``M``
 bordered by the phase-1 cost row, which is 1 on the artificials, the
@@ -93,7 +94,10 @@ and the cost row's at most ``r + 1``, so Hadamard's inequality (Hadamard
 1893) bounds every entry of every tableau of the solve, squared, by
 ``(2 + (m + 1) a^2)^r * (r + 1)``.  When that is at most
 ``_INT64_GUARD ** 2`` the solve is *proved*: no entry can pass the
-guard, and the loop pivots without scanning for one.  For a
+guard, and the loop pivots without scanning for one.  The bound grows
+with ``a``, so a start is proved when its system and the start's system
+both pass: for a row change the second covers the kept column, and for
+a lift, which holds none, it follows from the first.  For a
 realizability LP over ``k`` variables (``a = 1``, ``m = 2^k``) that holds
 at every ``k <= 3``, at ``k = 4`` up to degree 2, at ``k = 5`` and 6 up
 to degree 1, and at degree 0 for any ``k``.
@@ -174,8 +178,8 @@ def _proved(m, r, a) -> bool:
     """Whether Hadamard's bound keeps every tableau entry within the guard.
 
     ``m`` and ``r`` are the system's rows and equality rows, and ``a``
-    bounds every entry of the system and of a kept column (module
-    docstring); a None ``a`` proves nothing.
+    bounds every entry of the system (module docstring); a None ``a``
+    proves nothing.
     """
     return a is not None and (2 + (m + 1) * a * a) ** r * (r + 1) <= _INT64_GUARD * _INT64_GUARD
 
@@ -245,31 +249,30 @@ def _pivot_loop_numpy(T, basis, dantzig: bool, delta=1, safe=False):
 def _warm_start(A, b, state, j):
     """A final phase-1 state made a start for ``A x <= b``, or None for a cold solve.
 
-    ``state = (T, basis, delta, signs, a)`` ended the solve of a system
+    ``state = (T, basis, delta, signs, proved)`` ended the solve of a system
     that differs from ``A x <= b`` in row ``j`` alone, so only the column
     of ``y_j`` changes: it is ``delta * B^-1 c`` with the signed
     ``c = signs * (A[j], -b[j])``, read off the artificial block
     ``delta * B^-1``, and its reduced cost follows from the cost row the
     same way.  A nonbasic ``y_j`` leaves the basis feasible.  A basic
     ``y_j`` in row ``p``, at 0 or positive, leaves its old column in the
-    basis as the kept artificial ``r + m + p``, whose cost 1 moves its row
-    into the cost row.  Returns ``(T, basis, delta, signs)``; an
-    object-dtype state and a row too large for an int64 product return
-    None.  ``state`` is not modified.
+    basis as the kept artificial ``r + m``, whose cost 1 moves its row
+    into the cost row.  Returns ``(T, basis, delta, signs)``, or None
+    when the row is too large for an int64 product.  ``state`` is not
+    modified.
     """
     T, basis, delta, signs, _ = state
     r = T.shape[0] - 1
-    m = T.shape[1] - r - 1
     q = r + j
     c = signs * np.append(A[j], -b[j])
     # With every entry of T within the guard, and so the cost row within twice
     # it, the products below stay in int64.
-    if T.dtype == object or int(np.abs(c).sum()) * _INT64_GUARD >= 1 << 61:
+    if int(np.abs(c).sum()) * _INT64_GUARD >= 1 << 61:
         return None
     T, basis = T.copy(), list(basis)
     if q in basis:
         p = basis.index(q)
-        basis[p] = r + m + p
+        basis[p] = T.shape[1] - 1  # r + m, past every y
         T[r] -= T[p]
     T[:r, q] = T[:r, :r] @ c
     T[r, q] = T[r, :r] @ c - delta * c.sum()
@@ -286,18 +289,14 @@ def _lift(A, b, state, new):
     ``-sign(A[:, i]^T y)`` (+1 on a tie).  The old rows keep their entries,
     their artificials and ``y`` renumbered; a new row is its signed
     equality times ``delta`` less the old rows that cancel its basic ``y``
-    entries.  Returns ``(T, basis, delta, signs)``; an object-dtype state,
-    a kept artificial (its column is not stored) and a product past int64
-    return None.  ``state`` is not modified.
+    entries.  Returns ``(T, basis, delta, signs)``, or None when the new
+    columns are too large for an int64 product.  ``state`` is not
+    modified.
     """
     T, basis, delta, signs, _ = state
     r0 = T.shape[0] - 1
     m = A.shape[0]
-    if (
-        T.dtype == object
-        or max(basis) >= r0 + m
-        or int(np.abs(A[:, new]).max(initial=0)) * r0 * _INT64_GUARD >= 1 << 62
-    ):
+    if int(np.abs(A[:, new]).max(initial=0)) * r0 * _INT64_GUARD >= 1 << 62:
         return None
     cols = A[:, new].astype(np.int64)
     k = cols.shape[1]
@@ -336,18 +335,19 @@ def solve_free_le(A, b, start=None):
     ``(False, y, state)`` with Python-int ``y >= 0``, ``A^T y = 0`` and
     ``b^T y < 0`` when the system is infeasible, else
     ``(True, (x, t), state)`` with Python ints, ``t > 0`` and
-    ``A x <= t b``; ``state`` is the final ``(T, basis, delta, signs, a)``.
+    ``A x <= t b``.  ``state`` is the final
+    ``(T, basis, delta, signs, proved)``, or None when the solve ended on
+    an object-dtype tableau or with the kept artificial still basic (its
+    column is another system's row).
 
     Before any pivot the solve tests, in Python ints, whether Hadamard's
     bound ``(2 + (m + 1) a^2)^r * (r + 1)``, with ``r = n + 1`` and ``a``
-    the largest ``|entry|`` of ``A``, ``b`` and the start state's ``a``,
-    is at most ``_INT64_GUARD ** 2`` (module docstring).  If so, every
-    tableau of a cold build, a lift or a row change is within the guard,
-    so the loop pivots without the guard scan and never overflows.  The
-    state's ``a`` is this system's, or None where the solve never read it
-    (the test fails for ``a = 1``) or where a kept artificial is left in
-    the final basis (its column is another system's row); a start from a
-    None ``a`` stays guarded.
+    the largest ``|entry|`` of ``A`` and ``b``, is at most
+    ``_INT64_GUARD ** 2`` (module docstring); ``a = 1`` is tried first, so
+    a system that fails it never reads ``a``.  ``proved`` is that
+    verdict.  A cold build is proved when it holds, and a lift or a row
+    change when it holds for this system and the start state's; a proved
+    loop pivots without the guard scan and never overflows.
     """
     A = np.asarray(A)
     b = np.asarray(b)
@@ -355,6 +355,7 @@ def solve_free_le(A, b, start=None):
     r = n + 1
     # a = 1 is tried first, so a system too large for it never reads a.
     a = _largest_entry(A, b) if _proved(m, r, 1) else None
+    proved = _proved(m, r, a)
     status = OVERFLOW
     state, at = start or (None, None)
     if state is not None:
@@ -362,26 +363,22 @@ def solve_free_le(A, b, start=None):
         if warm is not None:
             T, basis, delta, signs = warm
             # A kept column is a row of the start state's system.
-            top = None if a is None or state[4] is None else max(a, state[4])
-            status, delta = _pivot_loop_numpy(T, basis, True, delta, _proved(m, r, top))
-            # A kept artificial left in the basis holds a row that a does not bound.
-            if max(basis) >= r + m:
-                a = None
+            status, delta = _pivot_loop_numpy(T, basis, True, delta, proved and state[4])
     if status == OVERFLOW:
         signs = np.ones(r, dtype=np.int64)
-        if a is None:
-            a = _largest_entry(A, b)
+        fits = (_largest_entry(A, b) if a is None else a) <= _INT64_GUARD
         for dtype, dantzig in _RUNGS:
-            if dtype is object or a <= _INT64_GUARD:
+            if dtype is object or fits:
                 T, basis = _build_tableau(A, b, dtype)
-                status, delta = _pivot_loop_numpy(T, basis, dantzig, 1, _proved(m, r, a))
+                status, delta = _pivot_loop_numpy(T, basis, dantzig, 1, proved)
                 if status != OVERFLOW:
                     break
-    state = (T, basis, delta, signs, a)
+    # A kept artificial left in the basis holds another system's row.
+    state = None if T.dtype == object or max(basis) >= r + m else (T, basis, delta, signs, proved)
     if status == INFEASIBLE:
         y = [0] * m
         for v, value in zip(basis, T[:r, -1].tolist()):
-            # Ids from r + m on are kept artificials, at 0 here.
+            # Id r + m is the kept artificial, at 0 here.
             if r <= v < r + m:
                 y[v - r] = value
         return False, y, state

@@ -98,7 +98,11 @@ def format_ptf_text(p: ptf.PTF) -> str:
 
 
 def parse_weight_lines(text: str) -> tuple[dict[ptf.Monomial, Fraction], Fraction | None]:
-    """Parse ``monomial: coefficient`` lines; a ``theta:`` line is optional."""
+    """Parse ``monomial: coefficient`` lines; a ``theta:`` line is optional.
+
+    A monomial named twice (``1`` and ``01`` name the same one) or a
+    second ``theta:`` line is a ParseError.
+    """
     weights: dict[ptf.Monomial, Fraction] = {}
     theta: Fraction | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -109,9 +113,14 @@ def parse_weight_lines(text: str) -> tuple[dict[ptf.Monomial, Fraction], Fractio
             raise ParseError(f"line {lineno}: expected 'monomial: coefficient', got {line!r}")
         lhs, rhs = line.split(":", 1)
         if lhs.strip() == "theta":
+            if theta is not None:
+                raise ParseError(f"line {lineno}: theta named twice")
             theta = parse_fraction(rhs)
         else:
-            weights[parse_monomial(lhs)] = parse_fraction(rhs)
+            m = parse_monomial(lhs)
+            if m in weights:
+                raise ParseError(f"line {lineno}: monomial {format_monomial(m)} named twice")
+            weights[m] = parse_fraction(rhs)
     return weights, theta
 
 
@@ -143,6 +152,8 @@ def shared_weight_from_json(data) -> multithreshold.SharedWeight:
     """Read the JSON form written by :func:`shared_weight_to_json`.
 
     A dict without ``"n"`` gets the largest variable index of its weights.
+    Two weight keys that name one monomial (``"1"`` and ``"01"``) are a
+    ParseError.
     """
     if not (
         isinstance(data, dict)
@@ -152,7 +163,12 @@ def shared_weight_from_json(data) -> multithreshold.SharedWeight:
         raise ParseError(
             'shared-weight JSON needs a "weights" object and a "thresholds" list of rational strings'
         )
-    weights = {parse_monomial(k): parse_fraction(v) for k, v in data["weights"].items()}
+    weights = {}
+    for key, value in data["weights"].items():
+        m = parse_monomial(key)
+        if m in weights:
+            raise ParseError(f"shared-weight JSON names monomial {format_monomial(m)} twice")
+        weights[m] = parse_fraction(value)
     thresholds = tuple(parse_fraction(t) for t in data["thresholds"])
     n = data["n"] if "n" in data else _largest_index(weights)
     if type(n) is not int or n < 1:
@@ -211,6 +227,16 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, a NUL in the path
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _json_object(pairs: list) -> dict:
+    """A JSON object as a dict; a key named twice is a ParseError (json keeps the last)."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ParseError(f"JSON object names key {key!r} twice")
+        data[key] = value
+    return data
 
 
 def cmd_analyze(args) -> dict:
@@ -303,7 +329,7 @@ def cmd_eval(args) -> dict:
         kind, rep, evaluate = "ptf", parse_ptf_text(text), ptf.evaluate
     else:
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_json_object)
         except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise ParseError(f"invalid JSON in {args.file}: {exc}") from exc
         if isinstance(data, list) or (isinstance(data, dict) and "members" in data):

@@ -284,6 +284,42 @@ def test_monomial_indices_outside_ascii_digits_exit_1(index, form, tmp_path, cap
     assert "invalid monomial" in capsys.readouterr().err
 
 
+# Each names one value twice; the last one would win: at x = 1, weight 2
+# and theta 100 give 0 where weight 1 and theta 1 give 1.
+TWICE = "1: 1\n01: 2\ntheta: 1\n"
+THETA_TWICE = "1: 1\ntheta: 1\ntheta: 100\n"
+NAMED_TWICE = {
+    "eval-monomial": (["eval", "{}", "--at", "1"], TWICE),
+    "eval-theta": (["eval", "{}", "--at", "1"], THETA_TWICE),
+    "extend-monomial": (["extend", "0110", "{}", "fixtures/and2.ptf"], TWICE),
+    "extend-theta": (["extend", "0110", "fixtures/or2.ptf", "{}"], THETA_TWICE),
+    "family-weights": (["family", "{}"], "1: 1\n2: 1\n01: 1\n"),
+    "shared-weight-json": (
+        ["eval", "{}", "--at", "1"],
+        json.dumps({"weights": {"1": "1", "01": "2"}, "thresholds": ["1"]}),
+    ),
+    "shared-weight-json-key": (
+        ["eval", "{}", "--at", "1"],
+        '{"weights": {"1": "1", "1": "2"}, "thresholds": ["2"]}',
+    ),
+    "xor-list-member": (
+        ["eval", "{}", "--at", "1"],
+        json.dumps({"n": 1, "members": [THETA_TWICE]}),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED_TWICE))
+def test_value_named_twice_in_a_realization_file_exits_1(case, tmp_path, capsys, monkeypatch):
+    argv, text = NAMED_TWICE[case]
+    path = tmp_path / "named_twice.txt"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.chdir(TESTS_DIR)
+    assert run(["--json", *(str(path) if arg == "{}" else arg for arg in argv)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "twice" in err
+
+
 def test_parse_monomial_reads_ascii_indices_joined_by_plus():
     assert parse_monomial(" 1 + 3 ") == (1, 3)
     assert parse_monomial("12") == (12,)

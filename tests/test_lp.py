@@ -256,12 +256,12 @@ def test_forged_warm_state_raises(code, j):
     state, (A, b) = _flip_probe(code, j)
     assert _simplex._warm_start(A, b, state, j) is not None
     assert lp.feasible(A, b, start=(state, j)).feasible and lp.feasible(A, b).feasible
-    T, basis, delta, signs, a = state
+    T, basis, delta, signs, proved = state
     forged = T.copy()
     # a zero artificials' sum reads the basic y as a ray of a feasible system
     forged[-1, -1] = 0
     with pytest.raises(AssertionError, match="infeasibility ray"):
-        lp.feasible(A, b, start=((forged, basis, delta, signs, a), j))
+        lp.feasible(A, b, start=((forged, basis, delta, signs, proved), j))
 
 
 @pytest.mark.parametrize(
@@ -275,10 +275,10 @@ def test_forged_warm_state_raises(code, j):
 def test_warm_start_past_the_guard_restarts_on_the_cold_ladder(code, j, over, monkeypatch):
     state, (A, b) = _flip_probe(code, j)
     cold = lp.feasible(A, b)
-    T, basis, delta, signs, a = state
+    T = state[0]
     warm = _simplex._warm_start(A, b, state, j)
     if over == "object state":
-        state = (T.astype(object), basis, delta, signs, a)
+        state = _object_rung_state(*ptf._climb(parse_table(code))[2][:2])
     else:
         # a guard g's tableau meets but the warm tableau passes
         guard = int(np.abs(T).max())
@@ -298,10 +298,34 @@ def test_warm_start_past_the_guard_restarts_on_the_cold_ladder(code, j, over, mo
     res = lp.feasible(A, b, start=(state, j))
     assert res.feasible == cold.feasible
     # a warm tableau past the guard reaches the loop, which stops before any
-    # pivot; an object state is refused; then a fresh cold build runs
+    # pivot; a solve on the object rung leaves no state; then a fresh cold
+    # build runs
     if over != "object state":
         assert seen.pop(0) == (False, _simplex.OVERFLOW, True)
     assert seen and all(fresh for fresh, _, _ in seen)
+
+
+def _object_rung_state(A, b):
+    """The state of a solve of ``A x <= b`` that ends on the object rung: None.
+
+    Under a guard of 0 every nonzero entry passes it, so the solve starts
+    on the last rung.  A cold solve holds no kept artificial.
+    """
+    verdict = lp.feasible(A, b).feasible
+    dtypes = []
+    build = _simplex._build_tableau
+
+    def spy(A, b, dtype):
+        dtypes.append(dtype)
+        return build(A, b, dtype)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_simplex, "_INT64_GUARD", 0)
+        mp.setattr(_simplex, "_build_tableau", spy)
+        res = lp.feasible(A, b)
+    assert dtypes == [object] and res.feasible == verdict
+    assert res.state is None
+    return res.state
 
 
 def _lift_probe(code: str, d: int):
@@ -316,10 +340,9 @@ def _lift_probe(code: str, d: int):
 def test_lift_past_the_guard_restarts_on_the_cold_ladder(over, monkeypatch):
     state, A, b, new = _lift_probe("1001", 2)
     cold = lp.feasible(A, b)
-    T, basis, delta, signs, a = state
+    T = state[0]
     if over == "object state":
-        state = (T.astype(object), basis, delta, signs, a)
-        assert _simplex._lift(A, b, state, new) is None
+        state = _object_rung_state(*ptf._realization_lp(parse_table("1001"), 1))
     else:
         # a guard the degree-1 tableau meets but the lifted one passes
         guard = int(np.abs(T).max())
@@ -337,8 +360,8 @@ def test_lift_past_the_guard_restarts_on_the_cold_ladder(over, monkeypatch):
 
     monkeypatch.setattr(_simplex, "_pivot_loop_numpy", spy)
     assert lp.feasible(A, b, start=(state, new)).feasible == cold.feasible
-    # the lifted tableau reaches the loop, which stops before any pivot;
-    # an object state is refused; then a fresh cold build runs
+    # the lifted tableau reaches the loop, which stops before any pivot; a
+    # solve on the object rung leaves no state; then a fresh cold build runs
     if over == "lifted tableau":
         assert seen.pop(0) == (False, _simplex.OVERFLOW, True)
     assert seen and all(fresh for fresh, _, _ in seen)
@@ -357,26 +380,31 @@ def test_forged_lifted_state_raises(monkeypatch):
         lp.feasible(A, b, start=(state, new))
 
 
-def _hadamard_square(A, b, start=None) -> int:
+def _largest(A, b) -> int:
+    return max(abs(int(v)) for v in [*A.flat, *b])
+
+
+def _hadamard_square(A, b, start_a=0) -> int:
     """Hadamard's bound, squared, on every phase-1 tableau entry of ``A x <= b``.
 
     It counts one column more than ``A`` has and one more cost entry, for
     a kept artificial, and ``a`` is the largest entry of ``A``, ``b`` and
-    the start state's ``a``.
+    the start state's system (``start_a``).  The bound grows with ``a``,
+    so it meets the guard exactly when both systems do.
     """
-    (m, n), a = A.shape, max(abs(int(v)) for v in [*A.flat, *b])
-    if start and start[0] is not None:
-        a = max(a, start[0][4] or 0)
+    m, n = A.shape
+    a = max(_largest(A, b), start_a)
     return (2 + (m + 1) * a * a) ** (n + 1) * (n + 2)
 
 
 def _proved_solves(run, prove=True):
     """The proofs of every solve in ``run()``, with each proved solve checked.
 
-    A loop that :func:`_simplex.solve_free_le` proves overflow-free must
-    not scan for an overflow, and its tableau is checked against
-    Hadamard's bound and the int64 guard at the start and after every
-    pivot.  With ``prove`` unset every loop runs guarded instead.  Returns
+    Every returned state must be None or an int64 tableau with no kept
+    artificial.  A loop that :func:`_simplex.solve_free_le` proves
+    overflow-free must not scan for an overflow, and its tableau is
+    checked against Hadamard's bound and the int64 guard at the start and
+    after every pivot.  With ``prove`` unset every loop runs guarded instead.  Returns
     the ``(feasible, proof)`` of every solve, the number of proved loops
     and their largest entry.
     """
@@ -385,6 +413,9 @@ def _proved_solves(run, prove=True):
     )
     proofs, bound, checking = [], 0, False
     proved = largest = 0
+    # the largest entry of the system each returned state solved, by id; the
+    # state is held so that its id stays unique
+    solved = {}
 
     def check(T):
         nonlocal largest
@@ -394,9 +425,16 @@ def _proved_solves(run, prove=True):
 
     def solve(A, b, start=None):
         nonlocal bound
-        bound = _hadamard_square(np.asarray(A), np.asarray(b), start)
+        A, b = np.asarray(A), np.asarray(b)
+        state = start[0] if start else None
+        bound = _hadamard_square(A, b, 0 if state is None else solved[id(state)][1])
         res = real_solve(A, b, start)
         proofs.append(res[:2])
+        # a state is an int64 tableau whose basis holds no kept artificial
+        if res[2] is not None:
+            T, basis = res[2][:2]
+            assert T.dtype == np.int64 and max(basis) < sum(A.shape) + 1
+            solved[id(res[2])] = res[2], _largest(A, b)
         return res
 
     def loop(T, basis, dantzig, delta=1, safe=False):
@@ -488,7 +526,7 @@ def test_systems_past_hadamards_bound_stay_guarded(monkeypatch):
     assert not _first_loop_proved(A, b)
     assert _first_loop_proved(A.clip(max=1), b)
     # a kept artificial's column is the old system's row, which the start
-    # state's a bounds
+    # state's verdict covers
     state, (A, b) = _flip_probe("0010", 0)
     T, basis, _, _ = _simplex._warm_start(A, b, state, 0)
     assert max(basis) >= T.shape[1] - 1
@@ -498,17 +536,17 @@ def test_systems_past_hadamards_bound_stay_guarded(monkeypatch):
     # to x <= 2 passes alone
     A0, b0 = np.array([[1 << 20], [-1]]), np.array([-(1 << 20), -1])
     old = lp.feasible(A0, b0)
-    assert not old.feasible and old.state[4] == 1 << 20
+    assert not old.feasible and old.state[4] is False
     A, b = np.array([[1], [-1]]), np.array([2, -1])
     T, basis, _, _ = _simplex._warm_start(A, b, old.state, 0)
     assert max(basis) >= T.shape[1] - 1
     assert _first_loop_proved(A, b) and not _first_loop_proved(A, b, (old.state, 0))
-    # that solve ends with the kept artificial still basic, so its state has
-    # no a, and a start from it, which would hold two, stays guarded
-    kept = lp.feasible(A, b, start=(old.state, 0)).state
-    assert max(kept[1]) >= kept[0].shape[1] - 1 and kept[4] is None
+    # that solve ends with the kept artificial still basic, so it returns no
+    # state, and a start from it is a cold build, proved as this system is
+    res = lp.feasible(A, b, start=(old.state, 0))
+    assert res.feasible and res.state is None
     A1 = np.array([[1], [-2]])
-    assert _first_loop_proved(A1, b) and not _first_loop_proved(A1, b, (kept, 1))
+    assert _first_loop_proved(A1, b) and _first_loop_proved(A1, b, (res.state, 1))
     # a guard patched down, as the ladder tests do, leaves every system guarded
     A, b = ptf._realization_lp(parity_table(2), 1)
     assert _first_loop_proved(A, b)

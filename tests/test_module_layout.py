@@ -1,10 +1,10 @@
-"""Which modules own the realization text and JSON forms, and the B^n transform.
+"""Which modules own the realization text and JSON forms, the B^n transform and the solver.
 
 ``cli`` is the one reader and writer of the PTF text, weight-line,
 shared-weight JSON and XOR-list JSON forms; ``core`` keeps the table text
 form behind ``TruthTable.__str__``.  The math modules raise ValueError on
 bad values and never build a ParseError.  ``ptf`` alone runs the
-subset-sum transform over B^n.
+subset-sum transform over B^n, and ``lp`` alone imports the solver.
 """
 
 from __future__ import annotations
@@ -63,6 +63,29 @@ def test_only_cli_defines_form_readers_and_writers():
         "shared_weight_to_json", "shared_weight_from_json",
         "xor_list_to_json", "xor_list_from_json", "hov_to_json", "certificate_to_json",
     } <= {fn for module, fn in defined if module == "cli"}
+
+
+def _imports(tree: ast.Module) -> set[str]:
+    """The dotted name of every module and name an import statement names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            out.add(base)
+            out.update(f"{base}.{alias.name}" for alias in node.names)
+    return out
+
+
+def test_only_lp_imports_the_solver():
+    # lp.feasible is the one entry to _simplex, and it re-checks every proof
+    importers = {
+        name
+        for name, tree in _trees().items()
+        if any(part == "_simplex" for dotted in _imports(tree) for part in dotted.split("."))
+    }
+    assert importers == {"lp"}
 
 
 def test_only_ptf_runs_the_subset_sum_transform():

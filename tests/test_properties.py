@@ -60,22 +60,32 @@ def test_decide_primal_and_reference_agree(system):
         assert tuple(Fraction(v, t) for v in x) == witness
 
 
+def _changed_row(data, A, b):
+    """A row index j and ``A x <= b`` with row j redrawn, entries up to 2**20."""
+    j = data.draw(st.integers(0, len(b) - 1))
+    big = st.integers(-(1 << 20), 1 << 20)
+    row = data.draw(st.lists(big, min_size=A.shape[1] + 1, max_size=A.shape[1] + 1))
+    changed_A, changed_b = A.copy(), b.copy()
+    changed_A[j], changed_b[j] = row[:-1], row[-1]
+    return j, changed_A, changed_b
+
+
 @DERANDOMIZED
 @given(small_systems(), st.data())
 def test_warm_start_after_any_row_change_matches_cold(system, data):
-    # the changed row, with entries up to 2**20, sits in the solved system
-    # or in the one started from its state
-    A, b, nvars = system
-    j = data.draw(st.integers(0, len(b) - 1))
-    big = st.integers(-(1 << 20), 1 << 20)
-    row = data.draw(st.lists(big, min_size=nvars + 1, max_size=nvars + 1))
-    changed_A, changed_b = A.copy(), b.copy()
-    changed_A[j], changed_b[j] = row[:-1], row[-1]
+    # the changed row sits in the solved system or in the one started from
+    # its state; a second row change starts from the warm result's state
+    A, b, _ = system
+    j, changed_A, changed_b = _changed_row(data, A, b)
     if data.draw(st.booleans()):
         (A, b), (changed_A, changed_b) = (changed_A, changed_b), (A, b)
     state = lp.feasible(A, b).state
     warm = lp.feasible(changed_A, changed_b, start=(state, j))
     assert warm.feasible == lp.feasible(changed_A, changed_b).feasible
+    if warm.state is not None:
+        k, again_A, again_b = _changed_row(data, changed_A, changed_b)
+        again = lp.feasible(again_A, again_b, start=(warm.state, k))
+        assert again.feasible == lp.feasible(again_A, again_b).feasible
 
 
 @DERANDOMIZED
